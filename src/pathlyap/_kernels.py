@@ -6,84 +6,50 @@ and the solver maximizes ``z[-1]`` (the margin) subject to every block being
 positive definite.  The caller folds the ``- t I`` term into ``D`` so the
 kernel sees nothing but an affine family of blocks.
 
-Compiled with numba when it is importable; setting ``PATHLYAP_NO_NUMBA=1``
-(or not installing numba) leaves the same code running as plain numpy, which
-stays usable because the inner products are phrased as matrix products
-rather than scalar loops.  ``USING_NUMBA`` records which path is active.
+All K blocks are handled at once as a ``(K, n, n)`` stack.  Each Newton step
+takes one stacked ``eigh``, which gives ``log det S_k``, ``S_k^-1`` and
+``S_k^-1/2``.  The barrier gradient is ``-mu tr(S_k^-1 D[k,a])`` summed over
+blocks, and the Hessian is ``mu sum_k tr(S_k^-1 D[k,a] S_k^-1 D[k,b])``
+(Vandenberghe & Boyd, Semidefinite Programming, SIAM Review 1996).  With
+``E[k,a] = S_k^-1/2 D[k,a] S_k^-1/2`` that Hessian is ``mu E E^T`` over the
+flattened ``(m1, K n n)`` matrix E, one matrix product.
 """
-
-import os
 
 import numpy as np
 
-USING_NUMBA = False
-if not os.environ.get("PATHLYAP_NO_NUMBA"):
-    try:
-        from numba import njit
 
-        USING_NUMBA = True
-    except ImportError:
-        pass
-
-if not USING_NUMBA:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
+def _blocks(c0, dm, z):
+    """The stack S_k(z); dm is D as an (m1, K*n*n) matrix."""
+    return (c0.reshape(-1) + z @ dm).reshape(c0.shape)
 
 
-@njit(cache=True)
-def _point_value(c0v, dft, z, mu):
+def _point_value(c0, dm, z, mu):
     """Barrier objective at z, or (False, 0.0) if any block leaves the cone.
 
-    c0v: (K, n*n) flattened constant blocks.
-    dft: (K, n*n, m1) flattened directions, transposed for fast assembly.
     Value is -z[-1] - mu * sum_k log det S_k.
     """
-    count = c0v.shape[0]
-    nn = c0v.shape[1]
-    n = int(np.sqrt(nn))
-    m1 = z.shape[0]
-    total = 0.0
-    for k in range(count):
-        svec = c0v[k] + dft[k] @ z
-        w = np.linalg.eigvalsh(svec.reshape(n, n))
-        if w[0] <= 0.0:
-            return False, 0.0
-        for i in range(n):
-            total += np.log(w[i])
-    return True, -z[m1 - 1] - mu * total
+    w = np.linalg.eigvalsh(_blocks(c0, dm, z))
+    if not np.all(w[:, 0] > 0.0):
+        return False, 0.0
+    return True, -z[-1] - mu * np.log(w).sum()
 
 
-@njit(cache=True)
 def barrier_solve(c0, d, z0, mu0, mu_min, mu_shrink, newton_tol, max_newton,
                   armijo_c, step_shrink, min_step):
     """Damped-Newton path following for max z[-1] s.t. all blocks PD.
 
+    c0 is the (K, n, n) constant stack and d the (K, m1, n, n) directions.
     Returns (z, iterations, status) with status 0 when the final centering
     converged, 1 when it ran out of Newton iterations, and 2 on loss of
     feasibility or a non-finite linear solve.  The caller recomputes the
     reported margin from z independently, so status is advisory.
     """
-    count = c0.shape[0]
-    n = c0.shape[1]
-    nn = n * n
-    m1 = d.shape[1]
-    df = d.reshape(count, m1, nn)
-    dft = np.zeros((count, nn, m1))
-    for k in range(count):
-        for a in range(m1):
-            for x in range(nn):
-                dft[k, x, a] = df[k, a, x]
-    c0v = c0.reshape(count, nn).copy()
+    count, m1, n, _ = d.shape
+    dm = d.transpose(1, 0, 2, 3).reshape(m1, count * n * n)
 
     z = z0.copy()
     iterations = 0
-    ok, _ = _point_value(c0v, dft, z, mu0)
+    ok, _ = _point_value(c0, dm, z, mu0)
     if not ok:
         return z, iterations, 2
 
@@ -93,52 +59,23 @@ def barrier_solve(c0, d, z0, mu0, mu_min, mu_shrink, newton_tol, max_newton,
         converged = False
         for _ in range(max_newton):
             iterations += 1
-            grad = np.zeros(m1)
-            grad[m1 - 1] = -1.0
-            hess = np.zeros((m1, m1))
-            logdet = 0.0
-            feasible = True
-            for k in range(count):
-                svec = c0v[k] + dft[k] @ z
-                w, v = np.linalg.eigh(svec.reshape(n, n))
-                if w[0] <= 0.0:
-                    feasible = False
-                    break
-                sinv = np.zeros((n, n))
-                for i in range(n):
-                    logdet += np.log(w[i])
-                    for j in range(n):
-                        acc = 0.0
-                        for l in range(n):
-                            acc += v[i, l] * v[j, l] / w[l]
-                        sinv[i, j] = acc
-                grad -= mu * (df[k] @ sinv.reshape(nn))
-                ks = np.zeros((nn, nn))
-                for a in range(n):
-                    for b in range(n):
-                        for p in range(n):
-                            for q in range(n):
-                                ks[a * n + b, p * n + q] = sinv[a, p] * sinv[b, q]
-                hess += mu * (df[k] @ ks @ dft[k])
-            if not feasible:
+            w, v = np.linalg.eigh(_blocks(c0, dm, z))
+            if not np.all(w[:, 0] > 0.0):
                 return z, iterations, 2
-            fval = -z[m1 - 1] - mu * logdet
-            dmax = 1.0
-            for a in range(m1):
-                if hess[a, a] > dmax:
-                    dmax = hess[a, a]
-            for a in range(m1):
-                hess[a, a] += 1e-13 * dmax
+            vt = v.transpose(0, 2, 1)
+            sinv = (v / w[:, None, :]) @ vt
+            root = (v / np.sqrt(w)[:, None, :]) @ vt
+            grad = -mu * (dm @ sinv.reshape(-1))
+            grad[-1] -= 1.0
+            e = (root[:, None] @ d @ root[:, None]).transpose(1, 0, 2, 3)
+            e = e.reshape(m1, -1)
+            hess = mu * (e @ e.T)
+            fval = -z[-1] - mu * np.log(w).sum()
+            hess[np.diag_indices(m1)] += 1e-13 * max(1.0, hess.diagonal().max())
             step = np.linalg.solve(hess, -grad)
-            finite = True
-            for a in range(m1):
-                if not np.isfinite(step[a]):
-                    finite = False
-            if not finite:
+            if not np.all(np.isfinite(step)):
                 return z, iterations, 2
-            decrement = 0.0
-            for a in range(m1):
-                decrement -= grad[a] * step[a]
+            decrement = -(grad @ step)
             if decrement <= 2.0 * newton_tol:
                 converged = True
                 break
@@ -146,7 +83,7 @@ def barrier_solve(c0, d, z0, mu0, mu_min, mu_shrink, newton_tol, max_newton,
             moved = False
             while alpha >= min_step:
                 zt = z + alpha * step
-                ok, ft = _point_value(c0v, dft, zt, mu)
+                ok, ft = _point_value(c0, dm, zt, mu)
                 if ok and ft <= fval - armijo_c * alpha * decrement:
                     z = zt
                     moved = True

@@ -77,12 +77,6 @@ class LabeledGraph:
             table.setdefault((src, sym), []).append(dst)
         return {k: tuple(v) for k, v in table.items()}
 
-    def step(self, subset, symbol) -> frozenset:
-        """Set of nodes reachable from `subset` along one `symbol` edge."""
-        return frozenset(
-            dst for src, dst, sym in self.edges if sym == symbol and src in subset
-        )
-
     def to_json(self) -> dict:
         return {
             "alphabet": list(self.alphabet),

@@ -114,15 +114,13 @@ def solve_margin(problem, unknown_cap=None):
             d[k, a] = constraint.evaluate(probe)
         d[k, m1 - 1] = -np.eye(n)
 
-    worst = min(np.linalg.eigvalsh(c0[k])[0] for k in range(count))
+    worst = np.linalg.eigvalsh(c0)[:, 0].min()
     z0 = np.zeros(m1)
     # start strictly inside the cone: back the margin off from the boundary
     z0[m1 - 1] = worst - 0.5 * (1.0 + abs(worst))
 
     z, iterations, code = barrier_solve(
-        np.ascontiguousarray(c0),
-        np.ascontiguousarray(d),
-        z0,
+        c0, d, z0,
         1.0,      # initial barrier weight
         1e-10,    # final barrier weight
         0.2,      # weight shrink per stage
@@ -146,10 +144,8 @@ def solve_margin(problem, unknown_cap=None):
             margin=float("nan"), assignment=assignment,
             iterations=int(iterations), status="numerical-failure",
         )
-    margin = min(
-        float(np.linalg.eigvalsh(c.evaluate(assignment))[0])
-        for c in problem.constraints
-    )
+    blocks = np.array([c.evaluate(assignment) for c in problem.constraints])
+    margin = float(np.linalg.eigvalsh(blocks)[:, 0].min())
     if not math.isfinite(margin):
         status = "numerical-failure"
     return MarginSolution(
