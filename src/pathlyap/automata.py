@@ -10,8 +10,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DEFAULT_DETERMINIZE_CAP, ResourceLimitError, state_cap
-from .graphs import LabeledGraph, dual, graph_from_json
+from .errors import DEFAULT_DETERMINIZE_CAP, state_cap
+from .graphs import LabeledGraph, _explore_subsets, _word_to, dual, graph_from_json
 
 __all__ = [
     "Automaton",
@@ -161,43 +161,20 @@ def union_automaton(parts) -> Automaton:
     return Automaton(graph, frozenset(initial), frozenset(accepting))
 
 
-def _determinize(a: Automaton, cap):
-    """Subset construction with an explicit dead state (complete DFA).
-
-    Returns (initial subset, transition map (subset, symbol) -> subset).
-    Subsets are frozensets of a's node ids; the empty frozenset is the dead
-    state.
-    """
-    limit = state_cap(cap, DEFAULT_DETERMINIZE_CAP)
-    out = a.graph.out_map()
-    start = frozenset(a.initial)
-    delta = {}
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for sym in a.graph.alphabet:
-            nxt = frozenset(q for p in current for q in out.get((p, sym), ()))
-            delta[(current, sym)] = nxt
-            if nxt not in seen:
-                if len(seen) >= limit:
-                    raise ResourceLimitError(
-                        f"determinization exceeded {limit} states"
-                    )
-                seen.add(nxt)
-                queue.append(nxt)
-    return start, delta
-
-
 def language_includes(sub: Automaton, sup: Automaton, cap=None) -> bool:
     """True iff L(sub) ⊆ L(sup).
 
-    Determinizes the right-hand side only, then searches the product of sub
+    Determinizes the right-hand side only, by a full `_explore_subsets` run
+    (the empty subset is the dead state), then searches the product of sub
     with the complemented DFA for a reachable (accepting, rejecting) pair.
     """
     if sub.graph.alphabet != sup.graph.alphabet:
         raise ValueError("inclusion requires a common alphabet")
-    d0, delta = _determinize(sup, cap)
+    d0 = frozenset(sup.initial)
+    _, delta, _ = _explore_subsets(
+        sup.graph.out_map(), sup.graph.alphabet, d0,
+        state_cap(cap, DEFAULT_DETERMINIZE_CAP),
+    )
     sub_out = sub.graph.out_map()
 
     def bad(q, d):
@@ -224,28 +201,14 @@ def language_includes(sub: Automaton, sup: Automaton, cap=None) -> bool:
 def universality_witness(a: Automaton, cap=None):
     """Shortest word outside L(a), or None when L(a) = S*.
 
-    Ties broken lexicographically in alphabet order (breadth-first search
-    expands symbols in alphabet order).
+    Ties broken lexicographically in alphabet order: `_explore_subsets`
+    stops at the first subset with no accepting state.
     """
-    d0, delta = _determinize(a, cap)
-    parent = {d0: None}
-    queue = deque([d0])
-    while queue:
-        current = queue.popleft()
-        if not (current & a.accepting):
-            word = []
-            back = current
-            while parent[back] is not None:
-                prev, sym = parent[back]
-                word.append(sym)
-                back = prev
-            return tuple(reversed(word))
-        for sym in a.graph.alphabet:
-            nxt = delta[(current, sym)]
-            if nxt not in parent:
-                parent[nxt] = (current, sym)
-                queue.append(nxt)
-    return None
+    parent, _, hit = _explore_subsets(
+        a.graph.out_map(), a.graph.alphabet, frozenset(a.initial),
+        state_cap(cap, DEFAULT_DETERMINIZE_CAP), a.accepting.isdisjoint,
+    )
+    return None if hit is None else _word_to(parent, hit)[::-1]
 
 
 def is_universal(a: Automaton, cap=None) -> bool:

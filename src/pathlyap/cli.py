@@ -169,11 +169,14 @@ def _cmd_covering_validate(args):
 
 def _cmd_covering_to_graph(args):
     family = covering_from_json(_load(args.covering))
-    report = validate_covering(family)
-    if not report.ok:
+    try:
+        g, _ = covering_to_graph(family)
+    except ValueError:
+        # covering_to_graph raises on an invalid family; only then is the
+        # report (and with it the edge table) worth building a second time
+        report = validate_covering(family)
         _emit(args, report.to_json(), _covering_report_lines(report))
         return 1
-    g, _ = covering_to_graph(family)
     _emit(args, g.to_json(),
           [f"graph: {len(g.nodes)} nodes, {len(g.edges)} edges"])
     return 0

@@ -139,8 +139,8 @@ def _edge_table(c, cap=None):
     return table
 
 
-def validate_covering(c, cap=None):
-    """Check both covering conditions and report witnesses for failures."""
+def _validate_with_table(c, cap=None):
+    """validate_covering's report together with the edge table it built."""
     witness = universality_witness(
         union_automaton([m.automaton for m in c.members]), cap=cap
     )
@@ -148,12 +148,18 @@ def validate_covering(c, cap=None):
     unclosed = tuple(
         pair for pair, targets in table.items() if not targets
     )
-    return CoveringReport(
+    report = CoveringReport(
         covers_all_words=witness is None,
         uncovered_witness=witness,
         prepend_closed=not unclosed,
         unclosed_pairs=unclosed,
     )
+    return report, table
+
+
+def validate_covering(c, cap=None):
+    """Check both covering conditions and report witnesses for failures."""
+    return _validate_with_table(c, cap=cap)[0]
 
 
 def covering_to_graph(c, cap=None):
@@ -163,7 +169,7 @@ def covering_to_graph(c, cap=None):
     h-prepended member B inside member C, keeping all containments when
     several hold.  Returns the graph together with the node-to-member map.
     """
-    report = validate_covering(c, cap=cap)
+    report, table = _validate_with_table(c, cap=cap)
     if not report.covers_all_words:
         raise ValueError(
             "family does not cover every word; uncovered witness: "
@@ -174,7 +180,6 @@ def covering_to_graph(c, cap=None):
             "family is not closed under symbol prepending; failing "
             f"(member, symbol) pairs: {list(report.unclosed_pairs)}"
         )
-    table = _edge_table(c, cap=cap)
     edges = [
         (source, target, symbol)
         for (source, symbol), targets in table.items()

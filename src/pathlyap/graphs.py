@@ -147,11 +147,60 @@ def de_bruijn(alphabet, order: int) -> LabeledGraph:
     return LabeledGraph(alphabet, tuple(name[w] for w in words), edges)
 
 
+def _explore_subsets(out, alphabet, start, limit, stop=None):
+    """Breadth-first subset construction from the subset `start`.
+
+    `out` maps (node, symbol) to successor nodes.  Each symbol maps a subset
+    to the union of its members' successors; symbols are tried in alphabet
+    order, so the parent links spell the shortest word reaching each subset,
+    ties broken lexicographically.  Exploration ends at the first subset
+    (start included) for which `stop` holds; that subset is not counted
+    against `limit`.  Raises ResourceLimitError when more than `limit`
+    subsets are discovered.
+
+    Returns (parent, delta, hit): `parent` maps every discovered subset, in
+    discovery order, to (previous subset, symbol), or to None for `start`;
+    `delta` maps (subset, symbol) to the successor subset for every expanded
+    subset; `hit` is the stop subset, or None when exploration completed.
+    """
+    parent = {start: None}
+    delta = {}
+    if stop is not None and stop(start):
+        return parent, delta, start
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        for sym in alphabet:
+            nxt = frozenset(q for p in current for q in out.get((p, sym), ()))
+            delta[(current, sym)] = nxt
+            if nxt in parent:
+                continue
+            parent[nxt] = (current, sym)
+            if stop is not None and stop(nxt):
+                return parent, delta, nxt
+            if len(parent) > limit:
+                raise ResourceLimitError(
+                    f"subset exploration exceeded {limit} subsets"
+                )
+            queue.append(nxt)
+    return parent, delta, None
+
+
+def _word_to(parent, subset):
+    """Word spelled by the parent links from the start to `subset`, most
+    recent symbol first (the reverse of the order it was consumed in)."""
+    word = []
+    while parent[subset] is not None:
+        subset, sym = parent[subset]
+        word.append(sym)
+    return tuple(word)
+
+
 def find_unreadable_word(g: LabeledGraph, cap=None):
     """Shortest word with no reading path in g, or None if all words read.
 
-    Runs the subset exploration from the full node set; reaching the empty
-    subset means the symbols consumed so far form an unreadable word.  The
+    Runs `_explore_subsets` from the full node set, stopping at the empty
+    subset: the symbols consumed to reach it form an unreadable word.  The
     word is returned most recent symbol first (reverse of the order the
     symbols were consumed in), matching the memory-word convention used by
     the automata layer; reverse it for trajectory order.
@@ -160,33 +209,10 @@ def find_unreadable_word(g: LabeledGraph, cap=None):
     (default 2^20, env-overridable).
     """
     limit = state_cap(cap, DEFAULT_SUBSET_CAP)
-    out = g.out_map()
-    full = frozenset(g.nodes)
-    parent: dict[frozenset, tuple] = {full: None}
-    queue = deque([full])
-    while queue:
-        current = queue.popleft()
-        for sym in g.alphabet:
-            nxt = frozenset(
-                q for src in current for q in out.get((src, sym), ())
-            )
-            if not nxt:
-                word = [sym]
-                back = parent[current]
-                while back is not None:
-                    prev, via = back
-                    word.append(via)
-                    back = parent[prev]
-                # consumed oldest-first along the exploration; report newest-first
-                return tuple(word)
-            if nxt not in parent:
-                if len(parent) >= limit:
-                    raise ResourceLimitError(
-                        f"subset exploration exceeded {limit} states"
-                    )
-                parent[nxt] = (current, sym)
-                queue.append(nxt)
-    return None
+    parent, _, hit = _explore_subsets(
+        g.out_map(), g.alphabet, frozenset(g.nodes), limit, lambda s: not s
+    )
+    return None if hit is None else _word_to(parent, hit)
 
 
 def is_path_complete(g: LabeledGraph, cap=None) -> bool:

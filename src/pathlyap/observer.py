@@ -9,15 +9,9 @@ doubles as a path-completeness check with an explicit witness.
 """
 
 from dataclasses import dataclass, field
-from collections import deque
 
-from .errors import (
-    InvariantViolation,
-    NotPathCompleteError,
-    ResourceLimitError,
-    state_cap,
-)
-from .graphs import LabeledGraph, graph_from_json
+from .errors import InvariantViolation, NotPathCompleteError, state_cap
+from .graphs import LabeledGraph, _explore_subsets, _word_to, graph_from_json
 
 
 @dataclass(frozen=True)
@@ -70,55 +64,22 @@ def observer_from_json(d):
 def observer_graph(g, cap=None):
     """Determinize ``g`` by subset construction from the full node set.
 
-    Raises NotPathCompleteError (with the offending word, most recent symbol
-    first) when an empty subset is reached, and ResourceLimitError when the
-    number of discovered subsets exceeds the cap.
+    Runs `graphs._explore_subsets`, stopping at the empty subset.  Raises
+    NotPathCompleteError (with the offending word, most recent symbol first)
+    when an empty subset is reached, and ResourceLimitError when the number
+    of discovered subsets exceeds the cap (default 2^20, env-overridable).
     """
-    limit = state_cap(cap)
-    successors = g.out_map()
-
-    def step(subset, symbol):
-        out = set()
-        for node in subset:
-            out.update(successors.get((node, symbol), ()))
-        return frozenset(out)
-
     root = frozenset(g.nodes)
-    # parent links let us reconstruct the symbol sequence that reached a
-    # subset; appending as we walk back up yields most-recent-first order
-    parents = {root: None}
-    order = [root]
-    queue = deque([root])
-    while queue:
-        current = queue.popleft()
-        for symbol in g.alphabet:
-            nxt = step(current, symbol)
-            if not nxt:
-                # symbols were consumed oldest-first on the way here; the
-                # walk back up the parent links emits them newest-first,
-                # matching the memory-word convention
-                witness = [symbol]
-                back = current
-                while parents[back] is not None:
-                    prev, sym = parents[back]
-                    witness.append(sym)
-                    back = prev
-                raise NotPathCompleteError(tuple(witness))
-            if nxt not in parents:
-                if len(parents) >= limit:
-                    raise ResourceLimitError(
-                        f"observer construction exceeded {limit} subsets"
-                    )
-                parents[nxt] = (current, symbol)
-                order.append(nxt)
-                queue.append(nxt)
-
-    nodes = [ObserverNode(subset) for subset in order]
+    parent, delta, hit = _explore_subsets(
+        g.out_map(), g.alphabet, root, state_cap(cap), lambda s: not s
+    )
+    if hit is not None:
+        raise NotPathCompleteError(_word_to(parent, hit))
+    nodes = [ObserverNode(subset) for subset in parent]
     names = {node.subset: node.name for node in nodes}
     edges = [
-        (names[subset], names[step(subset, symbol)], symbol)
-        for subset in order
-        for symbol in g.alphabet
+        (names[subset], names[nxt], symbol)
+        for (subset, symbol), nxt in delta.items()
     ]
     graph = LabeledGraph(g.alphabet, tuple(n.name for n in nodes), edges)
     return ObserverGraph(

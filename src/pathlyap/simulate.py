@@ -149,10 +149,7 @@ def _structure_walk(structure):
         raise ValueError(
             "structure must be an ObserverGraph or a CoveringFamily"
         )
-    successors = {}
-    for r, q, h in graph.edges:
-        successors.setdefault((r, h), []).append(q)
-    return graph, starts, successors
+    return graph, starts, graph.out_map()
 
 
 def trajectory_decrease_check(w_fn, structure, sys, rho_prime, trials=100,

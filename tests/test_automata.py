@@ -17,6 +17,7 @@ from pathlyap.automata import (
     prefix_class_automaton,
     prepend_symbol,
     union_automaton,
+    universality_witness,
 )
 from pathlyap.errors import ResourceLimitError
 from pathlyap.graphs import LabeledGraph
@@ -168,6 +169,25 @@ def test_inclusion_matches_enumeration():
         assert included == (cex is None)
 
 
+def test_universality_witness_is_first_rejected_word():
+    """The witness is the first rejected word in length-then-lexicographic
+    order."""
+    rng = np.random.default_rng(25)
+    found = 0
+    for _ in range(150):
+        a = random_automaton(rng)
+        w = universality_witness(a)
+        if w is None:
+            continue
+        found += 1
+        first = next(
+            word for word in words_up_to(AB, len(w))
+            if not oracle_member(a, word)
+        )
+        assert w == first
+    assert found > 50
+
+
 def test_universal_union_examples():
     assert is_universal(union_automaton([chain("a"), chain("b")]))
     assert not is_universal(union_automaton([chain("aa"), chain("ab")]))
@@ -186,6 +206,13 @@ def test_union_is_language_union():
 def test_determinization_cap():
     with pytest.raises(ResourceLimitError):
         is_universal(chain("ab"), cap=1)
+    # three subsets: both initial states, then one absorbing state per part
+    universal = union_automaton([chain("a"), chain("b")])
+    assert is_universal(universal, cap=3)
+    with pytest.raises(ResourceLimitError, match="exceeded 2 subsets"):
+        is_universal(universal, cap=2)
+    # the first subset with no accepting state ends the search uncounted
+    assert universality_witness(chain("ab"), cap=2) == ("b",)
 
 
 # ---------------------------------------------------------------------------

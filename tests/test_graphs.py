@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mixed_graph_sample, random_complete_graph
-from oracles import oracle_is_path_complete, word_is_readable
-from pathlyap.errors import ResourceLimitError
+from oracles import oracle_is_path_complete, word_is_readable, words_up_to
+from pathlyap.errors import NotPathCompleteError, ResourceLimitError
 from pathlyap.graphs import (
     LabeledGraph,
     de_bruijn,
@@ -18,6 +18,7 @@ from pathlyap.graphs import (
     is_deterministic,
     is_path_complete,
 )
+from pathlyap.observer import observer_graph
 
 DB1_EDGES = {
     ("[a]", "[a]", "a"),
@@ -198,9 +199,40 @@ def test_witness_is_actually_unreadable():
     assert found > 5
 
 
+def test_witness_is_first_unreadable_word():
+    """The witness is the first unreadable word in length-then-lexicographic
+    reading order, and the observer reports the same word."""
+    rng = np.random.default_rng(17)
+    found = 0
+    for _ in range(150):
+        g = mixed_graph_sample(rng, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        w = find_unreadable_word(g)
+        if w is None:
+            observer_graph(g)
+            continue
+        found += 1
+        first = next(
+            word for word in words_up_to(g.alphabet, len(w))
+            if not word_is_readable(g.nodes, g.edges, word)
+        )
+        assert tuple(reversed(w)) == first
+        with pytest.raises(NotPathCompleteError) as err:
+            observer_graph(g)
+        assert err.value.witness == w
+    assert found > 20
+
+
 def test_state_cap_enforced():
     with pytest.raises(ResourceLimitError):
         is_path_complete(de_bruijn(("a", "b"), 1), cap=1)
+    # De Bruijn order 2 explores exactly 7 subsets: the full set, two pairs
+    # and four singletons
+    g = de_bruijn(("a", "b"), 2)
+    assert find_unreadable_word(g, cap=7) is None
+    with pytest.raises(ResourceLimitError, match="exceeded 6 subsets"):
+        find_unreadable_word(g, cap=6)
+    # the empty subset ends the search before it is counted
+    assert find_unreadable_word(lonely_loop(), cap=1) == ("b",)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,10 @@ def test_observer_of_h_has_five_nodes():
 def test_observer_state_cap():
     with pytest.raises(ResourceLimitError):
         observer_graph(de_bruijn(("a", "b"), 2), cap=2)
+    g = de_bruijn(("a", "b"), 2)
+    assert len(observer_graph(g, cap=7).graph.nodes) == 7
+    with pytest.raises(ResourceLimitError, match="exceeded 6 subsets"):
+        observer_graph(g, cap=6)
 
 
 # ---------------------------------------------------------------------------
