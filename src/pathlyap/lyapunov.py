@@ -10,7 +10,7 @@ W(subset, x) = max over s in subset of x^T P_s x, which decreases along
 observer transitions at the same rate.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,8 @@ def _symmetrize(m, context):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{context}: expected a square matrix, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{context}: entries must be finite")
     gap = float(np.max(np.abs(m - m.T))) if m.size else 0.0
     if gap > ASYMMETRY_CAP:
         raise ValueError(
@@ -52,6 +54,8 @@ class SwitchedLinearSystem:
                 raise ValueError(
                     f"mode {sym!r} has shape {m.shape}, expected {(n, n)}"
                 )
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"mode {sym!r}: entries must be finite")
             fixed[sym] = m
         self.modes = fixed
 
@@ -133,60 +137,31 @@ def certificate_from_json(d):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class LmiTerm:
-    """coeff * W^T P_var W, with W = identity when weight is None."""
-
-    coeff: float
-    var: str
-    weight: object
-
-    def evaluate(self, assignment):
-        p = assignment[self.var]
-        if self.weight is None:
-            return self.coeff * p
-        return self.coeff * (self.weight.T @ p @ self.weight)
-
-
-@dataclass(frozen=True, eq=False)
-class LmiConstraint:
-    """An affine symmetric-matrix expression required to dominate t*I."""
-
-    kind: str
-    label: tuple
-    terms: tuple
-
-    def evaluate(self, assignment):
-        return sum(term.evaluate(assignment) for term in self.terms)
-
-
-@dataclass(eq=False)
 class LmiProblem:
-    variables: tuple
-    constraints: tuple
-    trace_targets: dict
+    """Margin program for certifying rate `rho` along a graph.
 
-    def __post_init__(self):
-        self.variables = tuple(self.variables)
-        self.constraints = tuple(self.constraints)
-        declared = {name for name, _ in self.variables}
-        for c in self.constraints:
-            for term in c.terms:
-                if term.var not in declared:
-                    raise ValueError(
-                        f"constraint {c.label} references undeclared "
-                        f"variable {term.var!r}"
-                    )
-        if set(self.trace_targets) != declared:
-            raise ValueError("trace targets must cover exactly the variables")
+    One n x n matrix P_s per node, its trace pinned to n.  Blocks, each
+    read as "... >= t*I": P_s for every node s, then
+    rho^2 P_r - A_h^T P_q A_h for every edge (r, q, h).
+    """
+
+    nodes: tuple
+    edges: tuple
+    modes: dict
+    rho: float
+    dimension: int
+
+    def blocks(self, P):
+        """The (K, n, n) stack of blocks at P (node -> matrix): node blocks
+        first, then edge blocks, in graph order."""
+        rho_sq = float(self.rho) ** 2
+        edges = [rho_sq * P[r] - self.modes[h].T @ P[q] @ self.modes[h]
+                 for r, q, h in self.edges]
+        return np.array([P[s] for s in self.nodes] + edges)
 
 
 def assemble_lmi(g, sys, rho):
-    """Margin program for certifying rate `rho` of `sys` along graph `g`.
-
-    One matrix variable per node.  Constraints, each read as "... >= t*I":
-    P_s for every node s, and rho^2 P_r - A_h^T P_q A_h for every edge
-    (r, q, h).  Traces are pinned to the state dimension to fix the scale.
-    """
+    """Margin program for certifying rate `rho` of `sys` along graph `g`."""
     if set(g.alphabet) != set(sys.alphabet):
         raise ValueError(
             f"graph alphabet {g.alphabet} does not match system alphabet "
@@ -194,24 +169,8 @@ def assemble_lmi(g, sys, rho):
         )
     if rho <= 0:
         raise ValueError("rho must be positive")
-    n = sys.dimension
-    variables = tuple((s, n) for s in g.nodes)
-    constraints = [
-        LmiConstraint("node", (s,), (LmiTerm(1.0, s, None),)) for s in g.nodes
-    ]
-    for r, q, h in g.edges:
-        constraints.append(
-            LmiConstraint(
-                "edge",
-                (r, q, h),
-                (
-                    LmiTerm(float(rho) ** 2, r, None),
-                    LmiTerm(-1.0, q, sys.modes[h]),
-                ),
-            )
-        )
-    trace_targets = {s: float(n) for s in g.nodes}
-    return LmiProblem(variables, tuple(constraints), trace_targets)
+    return LmiProblem(tuple(g.nodes), tuple(g.edges), sys.modes, float(rho),
+                      sys.dimension)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Margin maximization and bisection-based spectral radius upper bounds.
 
-``solve_margin`` maximizes t subject to every constraint block of an
-:class:`~pathlyap.lyapunov.LmiProblem` dominating ``t * I``, with each
-variable's trace pinned to its target.  The solve is self-contained: each
-variable is parametrized as ``(target/n) I + sum_j y_j B_j`` over an
-orthonormal basis of trace-zero symmetric matrices, which turns the trace
-equalities into plain eliminations, and the resulting max-eigenvalue
-program goes to the log-det barrier kernel in :mod:`pathlyap._kernels`.
-The reported margin is always recomputed from the returned matrices with
-an eigenvalue solve, never trusted from the optimizer state.
+``solve_margin`` maximizes t subject to every block of a
+:class:`~pathlyap.lyapunov.LmiProblem` dominating ``t * I``, with the
+trace of every node matrix pinned to the state dimension n.  The solve is
+self-contained: each node matrix is parametrized as ``I + sum_j z_j B_j``
+over an orthonormal basis of trace-zero symmetric matrices, which turns
+the trace equalities into plain eliminations.  The directions of the
+resulting max-eigenvalue program are written down in closed form from
+that basis (``B_j`` on a node block, ``rho^2 B_j`` and ``-A^T B_j A`` on an
+edge block) and go to the log-det barrier kernel in
+:mod:`pathlyap._kernels`.  The reported margin is always recomputed from
+the returned matrices with an eigenvalue solve, never trusted from the
+optimizer state.
 
 ``jsr_upper_bound`` brackets the certifiable growth rate by bisection on
 rho, probing feasibility of the margin program, and returns the smallest
@@ -42,7 +45,7 @@ _BISECT_LIMIT = 200
 class MarginSolution:
     """Result of one margin solve.
 
-    margin is the smallest eigenvalue over all constraint blocks at the
+    margin is the smallest eigenvalue over all blocks at the
     returned assignment (so it is meaningful even when status says the
     optimizer gave up early).  status is one of "optimal",
     "max-iterations", "numerical-failure".
@@ -55,7 +58,8 @@ class MarginSolution:
 
 
 def _trace_zero_basis(n):
-    """Orthonormal (Frobenius) basis of the trace-zero symmetric matrices."""
+    """Orthonormal (Frobenius) basis of the trace-zero symmetric matrices,
+    stacked as (n(n+1)/2 - 1, n, n)."""
     basis = []
     for j in range(1, n):
         m = np.zeros((n, n))
@@ -68,51 +72,43 @@ def _trace_zero_basis(n):
             m = np.zeros((n, n))
             m[i, j] = m[j, i] = 1.0 / math.sqrt(2.0)
             basis.append(m)
-    return basis
+    return np.array(basis).reshape(-1, n, n)
 
 
 _STATUS_NAMES = {0: "optimal", 1: "max-iterations", 2: "numerical-failure"}
 
 
 def solve_margin(problem, unknown_cap=None):
-    """Maximize the common slack t of all constraint blocks of `problem`.
+    """Maximize the common slack t of all blocks of `problem`.
 
-    The solve refuses problems with more scalar unknowns than
-    `unknown_cap` (default :data:`pathlyap.errors.DEFAULT_UNKNOWN_CAP`);
-    the dense Newton system grows with the square of that count.
+    Each P_s is I + sum_j z_j B_j over the trace-zero basis B, so the
+    unknowns are the z of every node, node by node, and then t.  The solve
+    refuses problems with more scalar unknowns than `unknown_cap` (default
+    :data:`pathlyap.errors.DEFAULT_UNKNOWN_CAP`); the dense Newton system
+    grows with the square of that count.
     """
     cap = DEFAULT_UNKNOWN_CAP if unknown_cap is None else int(unknown_cap)
-    if not problem.constraints:
-        raise ValueError("problem has no constraints")
-    dims = {dim for _, dim in problem.variables}
-    if len(dims) != 1:
-        raise ValueError("solver requires all variables to share one dimension")
-    n = dims.pop()
+    n = problem.dimension
     basis = _trace_zero_basis(n)
-    columns = [
-        (name, b) for name, _ in problem.variables for b in basis
-    ]
-    m1 = len(columns) + 1
+    p = len(basis)
+    column = {s: i * p for i, s in enumerate(problem.nodes)}
+    m1 = len(column) * p + 1
     if m1 > cap:
         raise ResourceLimitError(
             f"margin program has {m1} unknowns, above the cap of {cap}"
         )
 
-    base = {
-        name: (problem.trace_targets[name] / n) * np.eye(n)
-        for name, _ in problem.variables
-    }
-    zeros = {name: np.zeros((n, n)) for name, _ in problem.variables}
-    count = len(problem.constraints)
-    c0 = np.zeros((count, n, n))
-    d = np.zeros((count, m1, n, n))
-    for k, constraint in enumerate(problem.constraints):
-        c0[k] = constraint.evaluate(base)
-        for a, (name, b) in enumerate(columns):
-            probe = dict(zeros)
-            probe[name] = b
-            d[k, a] = constraint.evaluate(probe)
-        d[k, m1 - 1] = -np.eye(n)
+    # the block stack is affine in z: c0 at z = 0, plus z_a times d[:, a]
+    c0 = problem.blocks({s: np.eye(n) for s in problem.nodes})
+    d = np.zeros((len(c0), m1, n, n))
+    for k, s in enumerate(problem.nodes):
+        d[k, column[s]:column[s] + p] = basis
+    rho_sq = float(problem.rho) ** 2
+    for k, (r, q, h) in enumerate(problem.edges, start=len(column)):
+        a = problem.modes[h]
+        d[k, column[r]:column[r] + p] += rho_sq * basis
+        d[k, column[q]:column[q] + p] -= a.T @ basis @ a
+    d[:, -1] = -np.eye(n)
 
     worst = np.linalg.eigvalsh(c0)[:, 0].min()
     z0 = np.zeros(m1)
@@ -131,21 +127,16 @@ def solve_margin(problem, unknown_cap=None):
         1e-14,    # smallest line-search step
     )
 
-    assignment = {}
-    for idx, (name, b) in enumerate(columns):
-        assignment.setdefault(name, base[name].copy())
-        assignment[name] += z[idx] * b
-    for name, _ in problem.variables:
-        assignment.setdefault(name, base[name].copy())
-
+    z_nodes = z[:-1].reshape(len(column), p)
+    stack = np.eye(n) + np.tensordot(z_nodes, basis, axes=1)
+    assignment = dict(zip(problem.nodes, stack))
     status = _STATUS_NAMES[int(code)]
     if not np.all(np.isfinite(z)):
         return MarginSolution(
             margin=float("nan"), assignment=assignment,
             iterations=int(iterations), status="numerical-failure",
         )
-    blocks = np.array([c.evaluate(assignment) for c in problem.constraints])
-    margin = float(np.linalg.eigvalsh(blocks)[:, 0].min())
+    margin = float(np.linalg.eigvalsh(problem.blocks(assignment))[:, 0].min())
     if not math.isfinite(margin):
         status = "numerical-failure"
     return MarginSolution(

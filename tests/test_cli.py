@@ -195,6 +195,33 @@ def test_certificate_verify_failure_exits_one(demo_files, tmp_path, capsys):
                 "--system", demo_files["system"]]) == 1
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_input_exits_two(demo_files, tmp_path, capsys, bad):
+    system = demo_system().to_json()
+    system["modes"]["b"][0][1] = bad
+    bad_system = write_json(tmp_path, "badsystem.json", system)
+    assert run(["jsr", "upper", "--graph", demo_files["db1"],
+                "--system", bad_system]) == 2
+    assert "mode 'b'" in capsys.readouterr().err
+
+    from pathlyap.lyapunov import QuadraticCertificate
+
+    cert = QuadraticCertificate(
+        de_bruijn_1_graph(),
+        {"[a]": np.eye(2), "[b]": np.eye(2)},
+        rho=4.0,
+    ).to_json()
+    good_cert = write_json(tmp_path, "cert.json", cert)
+    assert run(["certificate", "verify", "--certificate", good_cert,
+                "--system", bad_system]) == 2
+    assert "mode 'b'" in capsys.readouterr().err
+    cert["P"]["[a]"][1][1] = bad
+    bad_cert = write_json(tmp_path, "badcert.json", cert)
+    assert run(["certificate", "verify", "--certificate", bad_cert,
+                "--system", demo_files["system"]]) == 2
+    assert "P[[a]]" in capsys.readouterr().err
+
+
 def test_certificate_lift(demo_files, tmp_path, capsys):
     run(["jsr", "upper", "--graph", demo_files["mixed"],
          "--system", demo_files["system"], "--tol", "1e-3",

@@ -68,33 +68,45 @@ def test_system_json_rejects_unknown_keys():
         system_from_json(d)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrices_are_rejected(bad):
+    corrupt = B_MODE.copy()
+    corrupt[1, 0] = bad
+    with pytest.raises(ValueError, match="mode 'b'"):
+        SwitchedLinearSystem(AB, 2, {"a": A_MODE, "b": corrupt})
+    P = {s: np.eye(2) for s in de_bruijn(AB, 1).nodes}
+    P["[b]"] = np.full((2, 2), bad)
+    with pytest.raises(ValueError, match=r"P\[\[b\]\]"):
+        QuadraticCertificate(graph=de_bruijn(AB, 1), P=P, rho=1.0)
+
+
 # ---------------------------------------------------------------------------
 # LMI assembly
 # ---------------------------------------------------------------------------
 
 def test_assemble_counts_on_mixed_horizon_graph():
     p = assemble_lmi(mixed_horizon(), demo_system(), 3.92)
-    assert [name for name, _ in p.variables] == list(mixed_horizon().nodes)
-    assert all(dim == 2 for _, dim in p.variables)
-    assert len(p.constraints) == 9
-    kinds = [c.kind for c in p.constraints]
-    assert kinds.count("node") == 3
-    assert kinds.count("edge") == 6
-    assert p.trace_targets == {s: 2.0 for s in mixed_horizon().nodes}
+    assert p.nodes == tuple(mixed_horizon().nodes)
+    assert p.edges == tuple(mixed_horizon().edges)
+    assert p.dimension == 2
+    assert len(p.nodes) == 3
+    assert len(p.edges) == 6
+    blocks = p.blocks({s: np.eye(2) for s in p.nodes})
+    assert blocks.shape == (9, 2, 2)
 
 
 def test_assemble_counts_on_de_bruijn_2():
     p = assemble_lmi(de_bruijn(AB, 2), demo_system(), 4.0)
-    assert len(p.variables) == 4
-    assert len(p.constraints) == 12
+    assert len(p.nodes) == 4
+    assert len(p.nodes) + len(p.edges) == 12
 
 
 def test_assemble_single_loop_one_mode():
     g = LabeledGraph(("a",), ("n",), [("n", "n", "a")])
     sys = SwitchedLinearSystem(("a",), 2, {"a": np.eye(2) * 0.5})
     p = assemble_lmi(g, sys, 1.0)
-    assert len(p.variables) == 1
-    assert len(p.constraints) == 2
+    assert len(p.nodes) == 1
+    assert len(p.nodes) + len(p.edges) == 2
 
 
 def test_assemble_rejects_alphabet_mismatch():
@@ -108,36 +120,26 @@ def test_constraint_evaluation_matches_direct_formula():
     p = assemble_lmi(mixed_horizon(), demo_system(), rho)
     rng = np.random.default_rng(7)
     assignment = {}
-    for name, dim in p.variables:
-        m = rng.normal(size=(dim, dim))
+    for name in p.nodes:
+        m = rng.normal(size=(p.dimension, p.dimension))
         assignment[name] = m + m.T
     modes = demo_system().modes
-    for c in p.constraints:
-        got = c.evaluate(assignment)
-        if c.kind == "node":
-            expected = assignment[c.label[0]]
-        else:
-            r, q, h = c.label
-            a = modes[h]
-            expected = rho**2 * assignment[r] - a.T @ assignment[q] @ a
+    blocks = p.blocks(assignment)
+    assert len(blocks) == len(p.nodes) + len(p.edges)
+    for got, s in zip(blocks, p.nodes):
+        assert np.allclose(got, assignment[s], atol=1e-12)
+    for got, (r, q, h) in zip(blocks[len(p.nodes):], p.edges):
+        a = modes[h]
+        expected = rho**2 * assignment[r] - a.T @ assignment[q] @ a
         assert np.allclose(got, expected, atol=1e-12)
 
 
 def test_half_identity_edge_constraint_value():
     p = assemble_lmi(de_bruijn(AB, 1), half_identity_system(), 1.0)
-    eye = {name: np.eye(2) for name, _ in p.variables}
-    for c in p.constraints:
-        expected = np.eye(2) if c.kind == "node" else 0.75 * np.eye(2)
-        assert np.allclose(c.evaluate(eye), expected)
-
-
-def test_problem_rejects_undeclared_variable():
-    p = assemble_lmi(de_bruijn(AB, 1), half_identity_system(), 1.0)
-    from pathlyap.lyapunov import LmiConstraint, LmiProblem, LmiTerm
-
-    bad = LmiConstraint("node", ("ghost",), (LmiTerm(1.0, "ghost", None),))
-    with pytest.raises(ValueError):
-        LmiProblem(p.variables, p.constraints + (bad,), p.trace_targets)
+    blocks = p.blocks({name: np.eye(2) for name in p.nodes})
+    for k, got in enumerate(blocks):
+        expected = np.eye(2) if k < len(p.nodes) else 0.75 * np.eye(2)
+        assert np.allclose(got, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,8 @@ def test_margin_equals_worst_constraint_eigenvalue():
         p = loop_problem(1.1, modes)
         sol = solve_margin(p)
         minima = [
-            np.linalg.eigvalsh(c.evaluate(sol.assignment))[0]
-            for c in p.constraints
+            np.linalg.eigvalsh(block)[0]
+            for block in p.blocks(sol.assignment)
         ]
         assert sol.margin == pytest.approx(min(minima), abs=1e-12)
         assert all(m >= sol.margin - 1e-9 for m in minima)
@@ -80,8 +80,10 @@ def test_margin_equals_worst_constraint_eigenvalue():
 def test_margin_traces_are_pinned():
     p = loop_problem(1.0, [rotation(0.3) * 0.7])
     sol = solve_margin(p)
-    for name, target in p.trace_targets.items():
-        assert np.trace(sol.assignment[name]) == pytest.approx(target, abs=1e-9)
+    for name in p.nodes:
+        assert np.trace(sol.assignment[name]) == pytest.approx(
+            p.dimension, abs=1e-9
+        )
 
 
 def test_margin_multi_variable_problem():
