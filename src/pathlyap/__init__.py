@@ -83,7 +83,6 @@ from .fixtures import (
     de_bruijn_1_graph,
     de_bruijn_2_graph,
     demo_system,
-    margin_corpus,
     mixed_horizon_graph,
 )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DEFAULT_DETERMINIZE_CAP, state_cap
+from .errors import DEFAULT_DETERMINIZE_CAP, ResourceLimitError, state_cap
 from .graphs import LabeledGraph, _explore_subsets, _word_to, dual, graph_from_json
 
 __all__ = [
@@ -164,37 +164,62 @@ def union_automaton(parts) -> Automaton:
 def language_includes(sub: Automaton, sup: Automaton, cap=None) -> bool:
     """True iff L(sub) ⊆ L(sup).
 
-    Determinizes the right-hand side only, by a full `_explore_subsets` run
-    (the empty subset is the dead state), then searches the product of sub
-    with the complemented DFA for a reachable (accepting, rejecting) pair.
+    Made of the two helpers below: `_dfa` determinizes the right-hand side
+    only, and `_includes` searches the product of sub with that DFA for a
+    reachable (accepting, rejecting) pair.  The one resolved cap bounds both
+    the DFA's subsets and the product's pairs.
     """
     if sub.graph.alphabet != sup.graph.alphabet:
         raise ValueError("inclusion requires a common alphabet")
-    d0 = frozenset(sup.initial)
-    _, delta, _ = _explore_subsets(
-        sup.graph.out_map(), sup.graph.alphabet, d0,
-        state_cap(cap, DEFAULT_DETERMINIZE_CAP),
+    limit = state_cap(cap, DEFAULT_DETERMINIZE_CAP)
+    return _includes(sub, sub.graph.out_map(), _dfa(sup, limit), limit)
+
+
+def _dfa(a: Automaton, limit):
+    """Subset DFA of `a` from one full `_explore_subsets` run.
+
+    Returns (d0, delta, accepting): the initial subset, the transition map
+    over every reachable subset (the empty subset is the dead state), and
+    the set of subsets that meet `a.accepting`.
+    """
+    d0 = frozenset(a.initial)
+    parent, delta, _ = _explore_subsets(
+        a.graph.out_map(), a.graph.alphabet, d0, limit
     )
-    sub_out = sub.graph.out_map()
+    return d0, delta, frozenset(d for d in parent if d & a.accepting)
 
-    def bad(q, d):
-        return q in sub.accepting and not (d & sup.accepting)
 
+def _includes(sub: Automaton, sub_out, dfa, limit) -> bool:
+    """Product search of `sub` (successor map `sub_out`) against a DFA from
+    `_dfa`: False at the first reachable pair where sub accepts and the DFA
+    rejects.  Raises ResourceLimitError once more than `limit` pairs are
+    discovered."""
+    d0, delta, accepting = dfa
+    final = sub.accepting
     seen = {(q, d0) for q in sub.initial}
-    if any(bad(q, d) for q, d in seen):
+    if d0 not in accepting and not final.isdisjoint(sub.initial):
         return False
     queue = deque(sorted(seen))
     while queue:
         q, d = queue.popleft()
         for sym in sub.graph.alphabet:
+            successors = sub_out.get((q, sym))
+            if not successors:
+                continue
             d2 = delta[(d, sym)]
-            for q2 in sub_out.get((q, sym), ()):
-                if (q2, d2) in seen:
+            rejecting = d2 not in accepting
+            for q2 in successors:
+                pair = (q2, d2)
+                if pair in seen:
                     continue
-                if bad(q2, d2):
+                if rejecting and q2 in final:
                     return False
-                seen.add((q2, d2))
-                queue.append((q2, d2))
+                seen.add(pair)
+                if len(seen) > limit:
+                    raise ResourceLimitError(
+                        f"inclusion product search exceeded {limit} pairs"
+                    )
+                queue.append(pair)
     return True
 
 

@@ -14,14 +14,17 @@ from dataclasses import dataclass
 from .automata import (
     Automaton,
     PrefixClass,
+    _dfa,
+    _includes,
     automaton_from_json,
-    language_includes,
+    language_includes,  # unused here; perfbench/tracing.py wraps this name
     language_of_observer_node,
     prefix_class_automaton,
     prepend_symbol,
     union_automaton,
     universality_witness,
 )
+from .errors import DEFAULT_DETERMINIZE_CAP, state_cap
 from .graphs import LabeledGraph, _word_name
 from .observer import ObserverGraph, observer_graph
 
@@ -125,17 +128,23 @@ class CoveringReport:
 
 def _edge_table(c, cap=None):
     """Map (member name, symbol) to the names of all members containing the
-    prepended language."""
+    prepended language.
+
+    Each member is determinized once and each prepended member's successor
+    map is built once; only the product search runs per triple.
+    """
+    limit = state_cap(cap, DEFAULT_DETERMINIZE_CAP)
+    dfas = [(t.name, _dfa(t.automaton, limit)) for t in c.members]
     table = {}
     for source in c.members:
         for symbol in c.alphabet:
             lifted = prepend_symbol(symbol, source.automaton)
-            targets = tuple(
-                t.name
-                for t in c.members
-                if language_includes(lifted, t.automaton, cap=cap)
+            lifted_out = lifted.graph.out_map()
+            table[(source.name, symbol)] = tuple(
+                name
+                for name, dfa in dfas
+                if _includes(lifted, lifted_out, dfa, limit)
             )
-            table[(source.name, symbol)] = targets
     return table
 
 
@@ -226,16 +235,3 @@ def prefix_covering(stems, alphabet, cap=None):
             f"(member, symbol) pairs: {list(report.unclosed_pairs)}"
         )
     return fam
-
-
-def stem_shift_includes(symbol, source_stem, target_stem):
-    """Closed-form edge test for prefix-class members.
-
-    Prepending `symbol` to the class of `source_stem` lands inside the class
-    of `target_stem` exactly when `target_stem` is a prefix of the shifted
-    stem (symbol, *source_stem).  Requires an alphabet with at least two
-    symbols; over a one-symbol alphabet distinct stems describe overlapping
-    classes and this test is too strict.
-    """
-    shifted = (symbol,) + tuple(source_stem)
-    return tuple(target_stem) == shifted[: len(target_stem)]

@@ -1,5 +1,5 @@
-"""Bundled example inputs: the two-mode demo system, the three graphs used
-in the documentation, and the margin-solver test corpus."""
+"""Bundled example inputs: the two-mode demo system and the three graphs used
+in the documentation."""
 
 import json
 from importlib import resources
@@ -30,8 +30,3 @@ def de_bruijn_2_graph():
 def mixed_horizon_graph():
     """Three nodes remembering one or two recent symbols, six edges."""
     return graph_from_json(_load("mixed_horizon.json"))
-
-
-def margin_corpus():
-    """Small single-variable margin problems with grid-checkable optima."""
-    return _load("margin_corpus.json")["problems"]

@@ -10,6 +10,7 @@ W(subset, x) = max over s in subset of x^T P_s x, which decreases along
 observer transitions at the same rate.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,8 @@ class QuadraticCertificate:
     margin: float = None
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not math.isfinite(self.rho) or self.rho <= 0:
+            raise ValueError("rho must be positive and finite")
         if set(self.P) != set(self.graph.nodes):
             raise ValueError("P map must cover exactly the graph nodes")
         fixed = {}
@@ -167,8 +168,8 @@ def assemble_lmi(g, sys, rho):
             f"graph alphabet {g.alphabet} does not match system alphabet "
             f"{sys.alphabet}"
         )
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not math.isfinite(rho) or rho <= 0:
+        raise ValueError("rho must be positive and finite")
     return LmiProblem(tuple(g.nodes), tuple(g.edges), sys.modes, float(rho),
                       sys.dimension)
 

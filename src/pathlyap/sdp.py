@@ -179,8 +179,8 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
     `require_path_complete` is False, in which case it warns and bounds
     only what the graph reads.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not math.isfinite(tol) or tol <= 0:
+        raise ValueError("tol must be positive and finite")
     witness = find_unreadable_word(graph)
     if witness is not None:
         if require_path_complete:

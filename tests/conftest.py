@@ -1,4 +1,8 @@
-"""Shared helpers: seeded random graph generators used across test modules."""
+"""Shared helpers: seeded random graph generators used across test modules,
+and the loader for the test data under tests/data."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -56,3 +60,9 @@ def mixed_graph_sample(rng, n_nodes, n_syms):
     if kind == 1:
         return random_graph(rng, n_nodes, n_syms, 1.5 / n_nodes)
     return random_complete_graph(rng, n_nodes, n_syms)
+
+
+def margin_corpus():
+    """Small single-variable margin problems with grid-checkable optima."""
+    path = Path(__file__).parent / "data" / "margin_corpus.json"
+    return json.loads(path.read_text())["problems"]

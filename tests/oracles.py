@@ -119,6 +119,19 @@ def prefix_class_member(stem, word):
     return tuple(word[:k]) == tuple(stem[:k])
 
 
+def stem_shift_includes(symbol, source_stem, target_stem):
+    """Closed-form edge test for prefix-class members.
+
+    Prepending `symbol` to the class of `source_stem` lands inside the class
+    of `target_stem` exactly when `target_stem` is a prefix of the shifted
+    stem (symbol, *source_stem).  Requires an alphabet with at least two
+    symbols; over a one-symbol alphabet distinct stems describe overlapping
+    classes and this test is too strict.
+    """
+    shifted = (symbol,) + tuple(source_stem)
+    return tuple(target_stem) == shifted[: len(target_stem)]
+
+
 # ---------------------------------------------------------------------------
 # grid-search oracle for the single-variable 2x2 margin program
 # ---------------------------------------------------------------------------

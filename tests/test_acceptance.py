@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import mixed_graph_sample, random_path_complete_graph
+from conftest import margin_corpus, mixed_graph_sample, random_path_complete_graph
 from oracles import grid_margin_2x2, oracle_is_path_complete
 from pathlyap.covering import (
     covering_to_graph,
@@ -22,7 +22,6 @@ from pathlyap.fixtures import (
     de_bruijn_1_graph,
     de_bruijn_2_graph,
     demo_system,
-    margin_corpus,
     mixed_horizon_graph,
 )
 from pathlyap.graphs import LabeledGraph, dual, is_complete, is_path_complete

@@ -215,6 +215,14 @@ def test_determinization_cap():
     assert universality_witness(chain("ab"), cap=2) == ("b",)
 
 
+def test_inclusion_product_cap():
+    """[aab] against S*: the DFA has one subset and the product four pairs,
+    one per chain state, so the same cap bounds the product search."""
+    assert language_includes(chain("aab"), sigma_star(), cap=4)
+    with pytest.raises(ResourceLimitError, match="exceeded 3 pairs"):
+        language_includes(chain("aab"), sigma_star(), cap=3)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

@@ -66,6 +66,13 @@ def test_usage_errors_exit_two(demo_files, capsys):
     assert run(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_tolerance_exits_two(demo_files, capsys, bad):
+    assert run(["jsr", "upper", "--graph", demo_files["db1"],
+                "--system", demo_files["system"], "--tol", bad]) == 2
+    assert "tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_dual_twice_is_identity(demo_files, tmp_path, capsys):
     once = tmp_path / "dual1.json"
     twice = tmp_path / "dual2.json"

@@ -1,8 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import random_path_complete_graph
-from oracles import prefix_class_member, words_up_to
+from conftest import mixed_graph_sample, random_path_complete_graph
+from oracles import (
+    nfa_accepts,
+    prefix_class_member,
+    stem_shift_includes,
+    words_up_to,
+)
 from pathlyap.automata import (
     PrefixClass,
     accepts,
@@ -14,14 +21,19 @@ from pathlyap.automata import (
 from pathlyap.covering import (
     CoveringFamily,
     CoveringMember,
+    _edge_table,
     covering_from_json,
     covering_to_graph,
     observer_to_covering,
     prefix_covering,
-    stem_shift_includes,
     validate_covering,
 )
-from pathlyap.graphs import de_bruijn, is_complete, is_deterministic
+from pathlyap.graphs import (
+    de_bruijn,
+    is_complete,
+    is_deterministic,
+    is_path_complete,
+)
 from pathlyap.observer import observer_graph
 from test_graphs import MIXED_EDGES, mixed_horizon
 
@@ -185,14 +197,58 @@ def test_round_trip_reproduces_observer_graph():
 
 
 # ---------------------------------------------------------------------------
-# prefix-class shortcut against the automata route
+# prefix-class closed form (test oracle) against the automata route
 # ---------------------------------------------------------------------------
 
 def test_stem_shift_closed_form():
+    """The oracle itself, on hand-checked cases."""
     assert stem_shift_includes("a", ("b",), ("a", "b"))
     assert stem_shift_includes("a", ("b", "a"), ("a", "b"))
     assert not stem_shift_includes("b", ("a",), ("a", "b"))
     assert stem_shift_includes("b", ("a",), ())
+    stems = list(words_up_to(AB, 2))
+    for h, src, dst in itertools.product(AB, stems, stems):
+        lifted_inside = all(
+            prefix_class_member(dst, (h,) + w)
+            for w in words_up_to(AB, 4)
+            if prefix_class_member(src, w)
+        )
+        assert stem_shift_includes(h, src, dst) == lifted_inside, (h, src, dst)
+
+
+def test_edge_table_matches_per_triple_inclusion():
+    """The edge table equals one `language_includes` call per (source,
+    symbol, target), and no containment it reports has a counterexample
+    among the words up to length 6."""
+    families = []
+    rng = np.random.default_rng(61)
+    while len(families) < 12:
+        g = mixed_graph_sample(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+        if is_path_complete(g):
+            families.append(observer_to_covering(g))
+    stems = list(words_up_to(AB, 2))
+    for size in range(1, len(stems) + 1):
+        families += [family(chosen) for chosen in itertools.combinations(stems, size)]
+
+    def language(a):
+        return frozenset(
+            w for w in words_up_to(a.graph.alphabet, 6)
+            if nfa_accepts(a.graph.edges, a.initial, a.accepting, w)
+        )
+
+    for fam in families:
+        table = _edge_table(fam)
+        targets = {t.name: language(t.automaton) for t in fam.members}
+        for source in fam.members:
+            for h in fam.alphabet:
+                lifted = prepend_symbol(h, source.automaton)
+                expected = tuple(
+                    t.name for t in fam.members
+                    if language_includes(lifted, t.automaton)
+                )
+                assert table[(source.name, h)] == expected, (source.name, h)
+                words = language(lifted)
+                assert all(words <= targets[name] for name in expected)
 
 
 def test_shortcut_agrees_with_language_route():

@@ -80,6 +80,14 @@ def test_non_finite_matrices_are_rejected(bad):
         QuadraticCertificate(graph=de_bruijn(AB, 1), P=P, rho=1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_rates_are_rejected(bad):
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        assemble_lmi(de_bruijn(AB, 1), demo_system(), bad)
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        identity_certificate(de_bruijn(AB, 1), rho=bad)
+
+
 # ---------------------------------------------------------------------------
 # LMI assembly
 # ---------------------------------------------------------------------------

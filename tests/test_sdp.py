@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import margin_corpus
 from oracles import grid_margin_2x2
 from pathlyap.errors import (
     NotPathCompleteError,
     NumericalError,
     ResourceLimitError,
 )
-from pathlyap.fixtures import margin_corpus
 from pathlyap.graphs import LabeledGraph, de_bruijn
 from pathlyap.lyapunov import (
     SwitchedLinearSystem,
@@ -196,6 +196,14 @@ def test_jsr_rejects_bad_tolerance():
     sys = SwitchedLinearSystem(("a",), 2, {"a": np.eye(2) * 0.5})
     with pytest.raises(ValueError):
         jsr_upper_bound(g, sys, tol=0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_jsr_rejects_non_finite_tolerance(bad):
+    g = LabeledGraph(("a",), ("n",), [("n", "n", "a")])
+    sys = SwitchedLinearSystem(("a",), 2, {"a": np.eye(2) * 0.5})
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        jsr_upper_bound(g, sys, tol=bad)
 
 
 def test_result_json_shape():
