@@ -7,10 +7,9 @@ symbol h yields (h,) + word).  All constructions are epsilon-free.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .errors import DEFAULT_DETERMINIZE_CAP, ResourceLimitError, state_cap
+from .errors import DEFAULT_DETERMINIZE_CAP, state_cap
 from .graphs import LabeledGraph, _explore_subsets, _word_to, dual, graph_from_json
 
 __all__ = [
@@ -161,66 +160,37 @@ def union_automaton(parts) -> Automaton:
     return Automaton(graph, frozenset(initial), frozenset(accepting))
 
 
+def _tagged_union(parts):
+    """Disjoint union of `parts` as (out, finals): node v of part k becomes
+    (k, v), `out` maps (tagged node, symbol) to tagged successors, and
+    `finals[k]` is part k's accepting set.  Initial states are left to the
+    caller, which may start a part anywhere."""
+    out = {}
+    for k, p in enumerate(parts):
+        for src, dst, sym in p.graph.edges:
+            out.setdefault(((k, src), sym), []).append((k, dst))
+    finals = [frozenset((k, v) for v in p.accepting) for k, p in enumerate(parts)]
+    return out, finals
+
+
 def language_includes(sub: Automaton, sup: Automaton, cap=None) -> bool:
     """True iff L(sub) ⊆ L(sup).
 
-    Made of the two helpers below: `_dfa` determinizes the right-hand side
-    only, and `_includes` searches the product of sub with that DFA for a
-    reachable (accepting, rejecting) pair.  The one resolved cap bounds both
-    the DFA's subsets and the product's pairs.
+    One `_explore_subsets` run over the tagged union of sub and sup from
+    both initial sets, stopping at the first subset where sub accepts and
+    sup rejects.  The cap bounds the subsets of that joint exploration.
     """
     if sub.graph.alphabet != sup.graph.alphabet:
         raise ValueError("inclusion requires a common alphabet")
-    limit = state_cap(cap, DEFAULT_DETERMINIZE_CAP)
-    return _includes(sub, sub.graph.out_map(), _dfa(sup, limit), limit)
-
-
-def _dfa(a: Automaton, limit):
-    """Subset DFA of `a` from one full `_explore_subsets` run.
-
-    Returns (d0, delta, accepting): the initial subset, the transition map
-    over every reachable subset (the empty subset is the dead state), and
-    the set of subsets that meet `a.accepting`.
-    """
-    d0 = frozenset(a.initial)
-    parent, delta, _ = _explore_subsets(
-        a.graph.out_map(), a.graph.alphabet, d0, limit
+    out, (sub_final, sup_final) = _tagged_union([sub, sup])
+    start = frozenset((0, v) for v in sub.initial) | frozenset(
+        (1, v) for v in sup.initial
     )
-    return d0, delta, frozenset(d for d in parent if d & a.accepting)
-
-
-def _includes(sub: Automaton, sub_out, dfa, limit) -> bool:
-    """Product search of `sub` (successor map `sub_out`) against a DFA from
-    `_dfa`: False at the first reachable pair where sub accepts and the DFA
-    rejects.  Raises ResourceLimitError once more than `limit` pairs are
-    discovered."""
-    d0, delta, accepting = dfa
-    final = sub.accepting
-    seen = {(q, d0) for q in sub.initial}
-    if d0 not in accepting and not final.isdisjoint(sub.initial):
-        return False
-    queue = deque(sorted(seen))
-    while queue:
-        q, d = queue.popleft()
-        for sym in sub.graph.alphabet:
-            successors = sub_out.get((q, sym))
-            if not successors:
-                continue
-            d2 = delta[(d, sym)]
-            rejecting = d2 not in accepting
-            for q2 in successors:
-                pair = (q2, d2)
-                if pair in seen:
-                    continue
-                if rejecting and q2 in final:
-                    return False
-                seen.add(pair)
-                if len(seen) > limit:
-                    raise ResourceLimitError(
-                        f"inclusion product search exceeded {limit} pairs"
-                    )
-                queue.append(pair)
-    return True
+    _, _, hit = _explore_subsets(
+        out, sub.graph.alphabet, start, state_cap(cap, DEFAULT_DETERMINIZE_CAP),
+        lambda s: not sub_final.isdisjoint(s) and sup_final.isdisjoint(s),
+    )
+    return hit is None
 
 
 def universality_witness(a: Automaton, cap=None):

@@ -14,18 +14,16 @@ from dataclasses import dataclass
 from .automata import (
     Automaton,
     PrefixClass,
-    _dfa,
-    _includes,
+    _tagged_union,
     automaton_from_json,
     language_includes,  # unused here; perfbench/tracing.py wraps this name
     language_of_observer_node,
     prefix_class_automaton,
-    prepend_symbol,
     union_automaton,
     universality_witness,
 )
 from .errors import DEFAULT_DETERMINIZE_CAP, state_cap
-from .graphs import LabeledGraph, _word_name
+from .graphs import LabeledGraph, _explore_subsets, _word_name
 from .observer import ObserverGraph, observer_graph
 
 
@@ -130,22 +128,37 @@ def _edge_table(c, cap=None):
     """Map (member name, symbol) to the names of all members containing the
     prepended language.
 
-    Each member is determinized once and each prepended member's successor
-    map is built once; only the product search runs per triple.
+    By the left quotient, h·L(B) ⊆ L(C) iff C started from its h-successors
+    accepts every word of L(B).  One `_explore_subsets` run per symbol h,
+    over the members (part k) and the h-stepped members (part n + k),
+    decides every pair: in each reachable subset, a source whose part
+    accepts keeps only the targets whose stepped part accepts too.
     """
     limit = state_cap(cap, DEFAULT_DETERMINIZE_CAP)
-    dfas = [(t.name, _dfa(t.automaton, limit)) for t in c.members]
-    table = {}
-    for source in c.members:
-        for symbol in c.alphabet:
-            lifted = prepend_symbol(symbol, source.automaton)
-            lifted_out = lifted.graph.out_map()
-            table[(source.name, symbol)] = tuple(
-                name
-                for name, dfa in dfas
-                if _includes(lifted, lifted_out, dfa, limit)
-            )
-    return table
+    names = [m.name for m in c.members]
+    n = len(names)
+    out, finals = _tagged_union([m.automaton for m in c.members] * 2)
+    final = frozenset().union(*finals)
+    initial = frozenset(
+        (k, v) for k, m in enumerate(c.members) for v in m.automaton.initial
+    )
+    kept = {}
+    for h in c.alphabet:
+        stepped = {q for k, v in initial for q in out.get(((n + k, v), h), ())}
+        parent, _, _ = _explore_subsets(out, c.alphabet, initial | stepped, limit)
+        targets = [set(range(n)) for _ in names]
+        for subset in parent:
+            tags = {node[0] for node in subset & final}
+            inside = {k - n for k in tags if k >= n}
+            for k in tags:
+                if k < n:
+                    targets[k] &= inside
+        kept[h] = targets
+    return {
+        (names[k], h): tuple(names[t] for t in range(n) if t in kept[h][k])
+        for k in range(n)
+        for h in c.alphabet
+    }
 
 
 def _validate_with_table(c, cap=None):

@@ -221,8 +221,10 @@ def verify_certificate(cert, sys, rho_prime=None):
         raise ValueError("certificate and system alphabets differ")
     if cert.dimension != sys.dimension:
         raise ValueError("certificate and system dimensions differ")
-    if rho_prime is not None and rho_prime <= 0:
-        raise ValueError("rho_prime must be positive")
+    if rho_prime is not None and (
+        not math.isfinite(rho_prime) or rho_prime <= 0
+    ):
+        raise ValueError("rho_prime must be positive and finite")
 
     rho_sq = float(cert.rho) ** 2
     ok = True

@@ -170,8 +170,15 @@ def trajectory_decrease_check(w_fn, structure, sys, rho_prime, trials=100,
     observers always have one.  `initial_states` overrides the sampled x0
     values (and the trial count) for directed probing.
     """
+    if not math.isfinite(rho_prime):
+        raise ValueError("rho_prime must be finite")
     if rho_prime <= w_fn.rho:
         raise ValueError("rho_prime must exceed the certified rate")
+    if not 0 <= tolerance < math.inf:
+        raise ValueError("tolerance must be non-negative and finite")
+    for name, value in (("trials", trials), ("horizon", horizon)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative")
     graph, starts, successors = _structure_walk(structure)
     if set(graph.nodes) != set(w_fn.members):
         raise ValueError(

@@ -215,12 +215,13 @@ def test_determinization_cap():
     assert universality_witness(chain("ab"), cap=2) == ("b",)
 
 
-def test_inclusion_product_cap():
-    """[aab] against S*: the DFA has one subset and the product four pairs,
-    one per chain state, so the same cap bounds the product search."""
-    assert language_includes(chain("aab"), sigma_star(), cap=4)
-    with pytest.raises(ResourceLimitError, match="exceeded 3 pairs"):
-        language_includes(chain("aab"), sigma_star(), cap=3)
+def test_inclusion_subset_cap():
+    """[aab] against S*: the joint exploration from both initial states
+    reaches five subsets, one per chain state plus S* alone once the chain
+    dies, so the cap bounds that one exploration."""
+    assert language_includes(chain("aab"), sigma_star(), cap=5)
+    with pytest.raises(ResourceLimitError, match="exceeded 4 subsets"):
+        language_includes(chain("aab"), sigma_star(), cap=4)
 
 
 # ---------------------------------------------------------------------------

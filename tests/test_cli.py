@@ -222,11 +222,41 @@ def test_non_finite_input_exits_two(demo_files, tmp_path, capsys, bad):
     assert run(["certificate", "verify", "--certificate", good_cert,
                 "--system", bad_system]) == 2
     assert "mode 'b'" in capsys.readouterr().err
+    assert run(["certificate", "verify", "--certificate", good_cert,
+                "--system", demo_files["system"],
+                "--rho-prime", str(bad)]) == 2
+    assert "rho_prime must be positive and finite" in capsys.readouterr().err
     cert["P"]["[a]"][1][1] = bad
     bad_cert = write_json(tmp_path, "badcert.json", cert)
     assert run(["certificate", "verify", "--certificate", bad_cert,
                 "--system", demo_files["system"]]) == 2
     assert "P[[a]]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rho-prime", "nan", "rho_prime must be finite"),
+    ("--rho-factor", "nan", "rho_prime must be finite"),
+    ("--tolerance", "nan", "tolerance must be non-negative and finite"),
+    ("--trials", "-2", "trials must be non-negative"),
+    ("--horizon", "-3", "horizon must be non-negative"),
+], ids=["rho-prime", "rho-factor", "tolerance", "trials", "horizon"])
+def test_decrease_check_bad_input_exits_two(demo_files, tmp_path, capsys,
+                                            flag, value, message):
+    from pathlyap.lyapunov import QuadraticCertificate
+
+    cert = QuadraticCertificate(
+        de_bruijn_1_graph(),
+        {"[a]": np.eye(2), "[b]": np.eye(2)},
+        rho=5.0,
+    ).to_json()
+    obs_file = tmp_path / "obs.json"
+    run(["observer", "build", demo_files["db1"], "-o", str(obs_file)])
+    capsys.readouterr()
+    assert run(["decrease-check",
+                "--certificate", write_json(tmp_path, "cert.json", cert),
+                "--observer", str(obs_file), "--system", demo_files["system"],
+                flag, value]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_certificate_lift(demo_files, tmp_path, capsys):

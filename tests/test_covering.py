@@ -11,6 +11,7 @@ from oracles import (
     words_up_to,
 )
 from pathlyap.automata import (
+    Automaton,
     PrefixClass,
     accepts,
     is_universal,
@@ -28,7 +29,9 @@ from pathlyap.covering import (
     prefix_covering,
     validate_covering,
 )
+from pathlyap.errors import ResourceLimitError
 from pathlyap.graphs import (
+    LabeledGraph,
     de_bruijn,
     is_complete,
     is_deterministic,
@@ -229,6 +232,22 @@ def test_edge_table_matches_per_triple_inclusion():
     stems = list(words_up_to(AB, 2))
     for size in range(1, len(stems) + 1):
         families += [family(chosen) for chosen in itertools.combinations(stems, size)]
+    # the empty language, S*, and members with no b-successor (prefix [a])
+    # or no a-successor (words starting with b) from their initial states
+    starts_b = LabeledGraph(
+        AB, ("s", "t"), [("s", "t", "b"), ("t", "t", "a"), ("t", "t", "b")]
+    )
+    special = [
+        CoveringMember("empty", Automaton(LabeledGraph(AB, ("q",), []), {"q"}, ())),
+        CoveringMember("all", prefix_class_automaton(PrefixClass(AB, ()))),
+        CoveringMember("[a]", prefix_class_automaton(PrefixClass(AB, ("a",)))),
+        CoveringMember("b...", Automaton(starts_b, {"s"}, {"t"})),
+    ]
+    for size in range(1, len(special) + 1):
+        families += [
+            CoveringFamily(AB, chosen)
+            for chosen in itertools.permutations(special, size)
+        ]
 
     def language(a):
         return frozenset(
@@ -249,6 +268,18 @@ def test_edge_table_matches_per_triple_inclusion():
                 assert table[(source.name, h)] == expected, (source.name, h)
                 words = language(lifted)
                 assert all(words <= targets[name] for name in expected)
+
+
+def test_edge_table_subset_cap():
+    """[] and [ab]: the coverage check explores 4 subsets and the edge
+    table's widest per-symbol exploration (symbol a) 5, so the edge table
+    is what a cap of 4 stops."""
+    fam = family([(), ("a", "b")])
+    assert validate_covering(fam, cap=5).ok
+    with pytest.raises(ResourceLimitError, match="exceeded 4 subsets"):
+        validate_covering(fam, cap=4)
+    with pytest.raises(ResourceLimitError, match="exceeded 4 subsets"):
+        _edge_table(fam, cap=4)
 
 
 def test_shortcut_agrees_with_language_route():

@@ -86,6 +86,9 @@ def test_non_finite_rates_are_rejected(bad):
         assemble_lmi(de_bruijn(AB, 1), demo_system(), bad)
     with pytest.raises(ValueError, match="rho must be positive and finite"):
         identity_certificate(de_bruijn(AB, 1), rho=bad)
+    cert = identity_certificate(de_bruijn(AB, 1), rho=5.0)
+    with pytest.raises(ValueError, match="rho_prime must be positive and finite"):
+        verify_certificate(cert, demo_system(), rho_prime=bad)
 
 
 # ---------------------------------------------------------------------------

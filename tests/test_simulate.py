@@ -236,6 +236,22 @@ def test_decrease_rejects_rate_below_certified():
         )
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"rho_prime": float("nan")}, "rho_prime must be finite"),
+    ({"rho_prime": float("inf")}, "rho_prime must be finite"),
+    ({"tolerance": float("nan")}, "tolerance must be non-negative"),
+    ({"tolerance": -1e-9}, "tolerance must be non-negative"),
+    ({"trials": -2}, "trials must be non-negative"),
+    ({"horizon": -3}, "horizon must be non-negative"),
+], ids=["rho-nan", "rho-inf", "tol-nan", "tol-negative", "trials", "horizon"])
+def test_decrease_rejects_bad_inputs(bad, message):
+    bound, obs, lifted = certified_pipeline()
+    kwargs = {"rho_prime": 1.01 * bound.rho_upper, "trials": 1, "horizon": 2}
+    kwargs.update(bad)
+    with pytest.raises(ValueError, match=message):
+        trajectory_decrease_check(lifted, obs, demo_system(), **kwargs)
+
+
 def test_chain_failure_is_a_structure_bug():
     node = ObserverNode(frozenset({"x"}))
     broken = ObserverGraph(
