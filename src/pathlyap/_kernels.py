@@ -1,56 +1,76 @@
-"""Dense log-det barrier kernel behind :func:`pathlyap.sdp.solve_margin`.
+"""Block-local log-det barrier kernel behind :func:`pathlyap.sdp.solve_margin`.
 
 The margin program is flattened before it reaches this module: every
-constraint becomes one symmetric block ``S_k(z) = C0[k] + sum_a z[a] D[k,a]``
-and the solver maximizes ``z[-1]`` (the margin) subject to every block being
-positive definite.  The caller folds the ``- t I`` term into ``D`` so the
-kernel sees nothing but an affine family of blocks.
+constraint becomes one symmetric block
+``S_k(z) = C0[k] + sum_j z[index[k, j]] local[k, j]`` and the solver
+maximizes ``z[-1]`` (the margin) subject to every block being positive
+definite.  Each block sees only its own w slots: ``index[k, j]`` names the
+unknown that slot j of block k scales, so a block that touches two graph
+nodes and the margin carries their directions and nothing else.  The
+caller folds the ``- t I`` term into the last slot, so the kernel sees
+nothing but an affine family of blocks.
 
 All K blocks are handled at once as a ``(K, n, n)`` stack.  Each Newton step
-takes one stacked ``eigh``, which gives ``log det S_k``, ``S_k^-1`` and
-``S_k^-1/2``.  The barrier gradient is ``-mu tr(S_k^-1 D[k,a])`` summed over
-blocks, and the Hessian is ``mu sum_k tr(S_k^-1 D[k,a] S_k^-1 D[k,b])``
-(Vandenberghe & Boyd, Semidefinite Programming, SIAM Review 1996).  With
-``E[k,a] = S_k^-1/2 D[k,a] S_k^-1/2`` that Hessian is ``mu E E^T`` over the
-flattened ``(m1, K n n)`` matrix E, one matrix product.
+factors every block once by Cholesky, ``S_k = L_k L_k^T``; a block is
+positive definite exactly when its factorization succeeds, and
+``log det S_k = 2 sum log diag L_k``.  With ``E[k,j] = L_k^-1 local[k,j]
+L_k^-T`` the barrier gradient is ``-mu tr(E[k,j])`` and the Hessian is
+``mu sum_k tr(E[k,a] E[k,b])`` (Vandenberghe & Boyd, Semidefinite
+Programming, SIAM Review 1996), both scattered from slots to unknowns
+through ``index``.  That is K w products for E and K Gram blocks of size
+w x w, in place of one dense product over every unknown of every block;
+only the final m1 x m1 solve is dense.
 """
 
 import numpy as np
 
 
-def _blocks(c0, dm, z):
-    """The stack S_k(z); dm is D as an (m1, K*n*n) matrix."""
-    return (c0.reshape(-1) + z @ dm).reshape(c0.shape)
+def _factor(s):
+    """(Cholesky factors, sum_k log det S_k) of the stack, or (None, None)
+    if any block is not positive definite or not finite."""
+    try:
+        chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return None, None
+    # Cholesky returns NaN factors for NaN input without raising
+    value = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum()
+    if not np.isfinite(value):
+        return None, None
+    return chol, value
 
 
-def _point_value(c0, dm, z, mu):
-    """Barrier objective at z, or (False, 0.0) if any block leaves the cone.
-
-    Value is -z[-1] - mu * sum_k log det S_k.
-    """
-    w = np.linalg.eigvalsh(_blocks(c0, dm, z))
-    if not np.all(w[:, 0] > 0.0):
-        return False, 0.0
-    return True, -z[-1] - mu * np.log(w).sum()
-
-
-def barrier_solve(c0, d, z0, mu0, mu_min, mu_shrink, newton_tol, max_newton,
-                  armijo_c, step_shrink, min_step):
+def barrier_solve(c0, local, index, z0, mu0, mu_min, mu_shrink, newton_tol,
+                  max_newton, armijo_c, step_shrink, min_step):
     """Damped-Newton path following for max z[-1] s.t. all blocks PD.
 
-    c0 is the (K, n, n) constant stack and d the (K, m1, n, n) directions.
-    Returns (z, iterations, status) with status 0 when the final centering
-    converged, 1 when it ran out of Newton iterations, and 2 on loss of
-    feasibility or a non-finite linear solve.  The caller recomputes the
-    reported margin from z independently, so status is advisory.
+    c0 is the (K, n, n) constant stack, local the (K, w, n, n) directions
+    of each block and index the (K, w) unknown of each slot; slots of one
+    block that share an unknown add up.  Returns (z, iterations, status)
+    with status 0 when the final centering converged, 1 when it ran out of
+    Newton iterations, and 2 when z0 is not strictly feasible (z is then
+    z0 and no iteration is counted) or a Newton step is not finite.  The
+    caller recomputes the reported margin from z independently, so status
+    is advisory.
     """
-    count, m1, n, _ = d.shape
-    dm = d.transpose(1, 0, 2, 3).reshape(m1, count * n * n)
+    count, width, n, _ = local.shape
+    m1 = len(z0)
+    index = np.asarray(index, dtype=np.intp)
+    flat = local.reshape(count, width, n * n)
+    # the slots of each block side by side, (K, n, w n), so that L_k^-1
+    # multiplies all of them in one product
+    wide = local.transpose(0, 2, 1, 3).reshape(count, n, width * n)
+    slots = index.reshape(-1)
+    pairs = (index[:, :, None] * m1 + index[:, None, :]).reshape(-1)
+
+    def along(v):
+        """The stack sum_j v[index[k, j]] local[k, j]."""
+        return (v[index][:, None, :] @ flat).reshape(c0.shape)
 
     z = z0.copy()
     iterations = 0
-    ok, _ = _point_value(c0, dm, z, mu0)
-    if not ok:
+    s = c0 + along(z)
+    chol, log_det = _factor(s)
+    if chol is None:
         return z, iterations, 2
 
     status = 0
@@ -59,19 +79,19 @@ def barrier_solve(c0, d, z0, mu0, mu_min, mu_shrink, newton_tol, max_newton,
         converged = False
         for _ in range(max_newton):
             iterations += 1
-            w, v = np.linalg.eigh(_blocks(c0, dm, z))
-            if not np.all(w[:, 0] > 0.0):
-                return z, iterations, 2
-            vt = v.transpose(0, 2, 1)
-            sinv = (v / w[:, None, :]) @ vt
-            root = (v / np.sqrt(w)[:, None, :]) @ vt
-            grad = -mu * (dm @ sinv.reshape(-1))
+            # E[k, j] = L_k^-1 local[k, j] L_k^-T, flattened to (K, w, n n)
+            inv = np.linalg.inv(chol)
+            e = (inv @ wide).reshape(count, n, width, n).transpose(0, 2, 1, 3)
+            e = e.reshape(count, width * n, n) @ inv.transpose(0, 2, 1)
+            e = e.reshape(count, width, n * n)
+            traces = e[:, :, ::n + 1].sum(axis=2)
+            grad = -mu * np.bincount(slots, traces.reshape(-1), m1)
             grad[-1] -= 1.0
-            e = (root[:, None] @ d @ root[:, None]).transpose(1, 0, 2, 3)
-            e = e.reshape(m1, -1)
-            hess = mu * (e @ e.T)
-            fval = -z[-1] - mu * np.log(w).sum()
-            hess[np.diag_indices(m1)] += 1e-13 * max(1.0, hess.diagonal().max())
+            gram = e @ e.transpose(0, 2, 1)
+            hess = mu * np.bincount(pairs, gram.reshape(-1), m1 * m1)
+            hess = hess.reshape(m1, m1)
+            fval = -z[-1] - mu * log_det
+            hess.flat[::m1 + 1] += 1e-13 * max(1.0, hess.diagonal().max())
             step = np.linalg.solve(hess, -grad)
             if not np.all(np.isfinite(step)):
                 return z, iterations, 2
@@ -79,13 +99,16 @@ def barrier_solve(c0, d, z0, mu0, mu_min, mu_shrink, newton_tol, max_newton,
             if decrement <= 2.0 * newton_tol:
                 converged = True
                 break
+            ds = along(step)
             alpha = 1.0
             moved = False
             while alpha >= min_step:
                 zt = z + alpha * step
-                ok, ft = _point_value(c0, dm, zt, mu)
-                if ok and ft <= fval - armijo_c * alpha * decrement:
-                    z = zt
+                st = s + alpha * ds
+                ct, lt = _factor(st)
+                if (ct is not None and -zt[-1] - mu * lt
+                        <= fval - armijo_c * alpha * decrement):
+                    z, s, chol, log_det = zt, st, ct, lt
                     moved = True
                     break
                 alpha *= step_shrink

@@ -34,6 +34,14 @@ def _symmetrize(m, context):
     return (m + m.T) / 2.0
 
 
+def _square(value, name):
+    """value squared, or ValueError when the square overflows."""
+    square = float(value) * float(value)
+    if not math.isfinite(square):
+        raise ValueError(f"{name} squared overflows")
+    return square
+
+
 @dataclass(eq=False)
 class SwitchedLinearSystem:
     alphabet: tuple
@@ -170,6 +178,7 @@ def assemble_lmi(g, sys, rho):
         )
     if not math.isfinite(rho) or rho <= 0:
         raise ValueError("rho must be positive and finite")
+    _square(rho, "rho")
     return LmiProblem(tuple(g.nodes), tuple(g.edges), sys.modes, float(rho),
                       sys.dimension)
 
@@ -226,7 +235,10 @@ def verify_certificate(cert, sys, rho_prime=None):
     ):
         raise ValueError("rho_prime must be positive and finite")
 
-    rho_sq = float(cert.rho) ** 2
+    rho_sq = _square(cert.rho, "rho")
+    gamma = None
+    if rho_prime is not None:
+        gamma = _square(float(cert.rho) / rho_prime, "rho / rho_prime")
     ok = True
     node_minima = {}
     for s in cert.graph.nodes:
@@ -242,7 +254,6 @@ def verify_certificate(cert, sys, rho_prime=None):
         ok = ok and passed
 
     margin = min(list(node_minima.values()) + list(edge_minima.values()))
-    gamma = None if rho_prime is None else (float(cert.rho) / rho_prime) ** 2
     return VerificationReport(
         ok=ok,
         margin=margin,

@@ -8,10 +8,10 @@ over an orthonormal basis of trace-zero symmetric matrices, which turns
 the trace equalities into plain eliminations.  The directions of the
 resulting max-eigenvalue program are written down in closed form from
 that basis (``B_j`` on a node block, ``rho^2 B_j`` and ``-A^T B_j A`` on an
-edge block) and go to the log-det barrier kernel in
-:mod:`pathlyap._kernels`.  The reported margin is always recomputed from
-the returned matrices with an eigenvalue solve, never trusted from the
-optimizer state.
+edge block), each block holding only the directions of its own nodes, and
+go to the log-det barrier kernel in :mod:`pathlyap._kernels`.  The
+reported margin is always recomputed from the returned matrices with an
+eigenvalue solve, never trusted from the optimizer state.
 
 ``jsr_upper_bound`` brackets the certifiable growth rate by bisection on
 rho, probing feasibility of the margin program, and returns the smallest
@@ -82,33 +82,45 @@ def solve_margin(problem, unknown_cap=None):
     """Maximize the common slack t of all blocks of `problem`.
 
     Each P_s is I + sum_j z_j B_j over the trace-zero basis B, so the
-    unknowns are the z of every node, node by node, and then t.  The solve
-    refuses problems with more scalar unknowns than `unknown_cap` (default
-    :data:`pathlyap.errors.DEFAULT_UNKNOWN_CAP`); the dense Newton system
-    grows with the square of that count.
+    unknowns are the z of every node, node by node, and then t.  Every
+    block touches at most two nodes and t, so it carries w = 2p + 1
+    directions (p = n(n+1)/2 - 1) and the unknown each one scales.  A
+    Newton step then costs K w^2 n^2 of block work for K blocks plus one
+    dense solve in the m1 unknowns.  The solve refuses problems with more
+    scalar unknowns than `unknown_cap` (default
+    :data:`pathlyap.errors.DEFAULT_UNKNOWN_CAP`).
     """
     cap = DEFAULT_UNKNOWN_CAP if unknown_cap is None else int(unknown_cap)
     n = problem.dimension
     basis = _trace_zero_basis(n)
     p = len(basis)
-    column = {s: i * p for i, s in enumerate(problem.nodes)}
-    m1 = len(column) * p + 1
+    nodes = len(problem.nodes)
+    m1 = nodes * p + 1
     if m1 > cap:
         raise ResourceLimitError(
             f"margin program has {m1} unknowns, above the cap of {cap}"
         )
 
-    # the block stack is affine in z: c0 at z = 0, plus z_a times d[:, a]
+    # block k is c0[k] plus z[index[k, j]] times local[k, j]: slots 0..p-1
+    # for one node's columns, p..2p-1 for another's (zero on node blocks),
+    # 2p for t
     c0 = problem.blocks({s: np.eye(n) for s in problem.nodes})
-    d = np.zeros((len(c0), m1, n, n))
-    for k, s in enumerate(problem.nodes):
-        d[k, column[s]:column[s] + p] = basis
-    rho_sq = float(problem.rho) ** 2
-    for k, (r, q, h) in enumerate(problem.edges, start=len(column)):
-        a = problem.modes[h]
-        d[k, column[r]:column[r] + p] += rho_sq * basis
-        d[k, column[q]:column[q] + p] -= a.T @ basis @ a
-    d[:, -1] = -np.eye(n)
+    local = np.zeros((len(c0), 2 * p + 1, n, n))
+    index = np.full((len(c0), 2 * p + 1), m1 - 1)
+    columns = p * np.arange(nodes)[:, None] + np.arange(p)
+    local[:nodes, :p] = basis
+    index[:nodes, :p] = index[:nodes, p:2 * p] = columns
+    position = {s: i for i, s in enumerate(problem.nodes)}
+    symbol = {h: i for i, h in enumerate(problem.modes)}
+    ends = np.array([(position[r], position[q], symbol[h])
+                     for r, q, h in problem.edges], dtype=np.intp)
+    ends = ends.reshape(-1, 3)
+    pulled = np.array([-(a.T @ basis @ a) for a in problem.modes.values()])
+    local[nodes:, :p] = float(problem.rho) ** 2 * basis
+    local[nodes:, p:2 * p] = pulled[ends[:, 2]]
+    index[nodes:, :p] = columns[ends[:, 0]]
+    index[nodes:, p:2 * p] = columns[ends[:, 1]]
+    local[:, -1] = -np.eye(n)
 
     worst = np.linalg.eigvalsh(c0)[:, 0].min()
     z0 = np.zeros(m1)
@@ -116,7 +128,7 @@ def solve_margin(problem, unknown_cap=None):
     z0[m1 - 1] = worst - 0.5 * (1.0 + abs(worst))
 
     z, iterations, code = barrier_solve(
-        c0, d, z0,
+        c0, local, index, z0,
         1.0,      # initial barrier weight
         1e-10,    # final barrier weight
         0.2,      # weight shrink per stage
@@ -127,7 +139,7 @@ def solve_margin(problem, unknown_cap=None):
         1e-14,    # smallest line-search step
     )
 
-    z_nodes = z[:-1].reshape(len(column), p)
+    z_nodes = z[:-1].reshape(nodes, p)
     stack = np.eye(n) + np.tensordot(z_nodes, basis, axes=1)
     assignment = dict(zip(problem.nodes, stack))
     status = _STATUS_NAMES[int(code)]
@@ -173,14 +185,19 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
 
     Seeds: the largest single-mode spectral radius from below (no single
     mode can be beaten), the largest single-mode 2-norm (padded 1%) from
-    above (a common identity certificate works there).  The upper seed is
-    widened up to 8 times if its probe is infeasible.  Raises
-    NotPathCompleteError on graphs with unreadable words unless
-    `require_path_complete` is False, in which case it warns and bounds
-    only what the graph reads.
+    above (a common identity certificate works there), or `tol` when every
+    mode is zero.  The upper seed is widened up to 8 times if its probe is
+    infeasible.  Raises NotPathCompleteError on graphs with unreadable
+    words unless `require_path_complete` is False, in which case it warns
+    and bounds only what the graph reads, ValueError when the square of
+    `tol` overflows, and NumericalError when the square of a probed rate
+    does.
     """
     if not math.isfinite(tol) or tol <= 0:
         raise ValueError("tol must be positive and finite")
+    if not math.isfinite(tol * tol):
+        # tol is the starting rate when every mode is zero
+        raise ValueError("tol squared overflows")
     witness = find_unreadable_word(graph)
     if witness is not None:
         if require_path_complete:
@@ -196,20 +213,25 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
     best = [None]
 
     def probe(rho):
+        rho = float(rho)
+        if not math.isfinite(rho * rho):
+            raise NumericalError(f"rate {rho} squared overflows")
         sol = solve_margin(assemble_lmi(graph, system, rho),
                            unknown_cap=unknown_cap)
         if sol.status == "numerical-failure":
             raise NumericalError(f"margin solve broke down at rate {rho}")
-        trace.append((float(rho), float(sol.margin)))
+        trace.append((rho, float(sol.margin)))
         feasible = sol.margin > FEASIBILITY_THRESHOLD
         if feasible and (best[0] is None or rho < best[0][0]):
-            best[0] = (float(rho), sol)
+            best[0] = (rho, sol)
         return feasible
 
     modes = [system.modes[sym] for sym in system.alphabet]
     lo = max(max(abs(np.linalg.eigvals(a))) for a in modes)
     hi = 1.01 * max(np.linalg.norm(a, 2) for a in modes)
-    hi = max(hi, tol)
+    if hi == 0.0:
+        # every mode is zero: every positive rate is certifiable
+        hi = tol
 
     widened = 0
     while not probe(hi):

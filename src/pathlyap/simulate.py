@@ -54,6 +54,8 @@ def simulate(sys, word, x0):
         raise ValueError(
             f"expected a state vector of length {sys.dimension}"
         )
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0: entries must be finite")
     states = [x]
     for sym in word:
         states.append(sys.modes[sym] @ states[-1])

@@ -282,6 +282,45 @@ def test_simulate_command(demo_files, capsys):
     assert data["states"] == [[1.0, 0.0], [3.0, -2.0]]
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_simulate_non_finite_start_exits_two(demo_files, capsys, bad):
+    assert run(["simulate", "--system", demo_files["system"],
+                "--word", "a", "--x0", f"{bad},1"]) == 2
+    assert "x0" in capsys.readouterr().err
+
+
+def test_rates_whose_square_overflows(demo_files, tmp_path, capsys):
+    assert run(["jsr", "upper", "--graph", demo_files["db1"],
+                "--system", demo_files["system"], "--tol", "1e300"]) == 2
+    assert "tol squared overflows" in capsys.readouterr().err
+
+    system = demo_system().to_json()
+    system["modes"] = {s: (np.array(m) * 1e160).tolist()
+                       for s, m in system["modes"].items()}
+    huge = write_json(tmp_path, "huge.json", system)
+    assert run(["jsr", "upper", "--graph", demo_files["db1"],
+                "--system", huge]) == 3
+    assert "squared overflows" in capsys.readouterr().err
+
+    from pathlyap.lyapunov import QuadraticCertificate
+
+    cert = QuadraticCertificate(
+        de_bruijn_1_graph(),
+        {"[a]": np.eye(2), "[b]": np.eye(2)},
+        rho=5.0,
+    ).to_json()
+    good = write_json(tmp_path, "cert.json", cert)
+    assert run(["certificate", "verify", "--certificate", good,
+                "--system", demo_files["system"],
+                "--rho-prime", "1e-200"]) == 2
+    assert "rho / rho_prime squared overflows" in capsys.readouterr().err
+    cert["rho"] = 1e200
+    steep = write_json(tmp_path, "steep.json", cert)
+    assert run(["certificate", "verify", "--certificate", steep,
+                "--system", demo_files["system"]]) == 2
+    assert "rho squared overflows" in capsys.readouterr().err
+
+
 def test_decrease_check_seed_reproducibility(demo_files, tmp_path, capsys):
     run(["jsr", "upper", "--graph", demo_files["mixed"],
          "--system", demo_files["system"], "--tol", "1e-3",

@@ -201,7 +201,7 @@ def one_block():
 
 def test_reaches_the_optimum():
     c0, d, z0 = one_block()
-    z, iterations, status = barrier_solve(c0, d, z0, *SETTINGS)
+    z, iterations, status = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
     assert status == 0
     assert iterations > 0
     assert np.allclose(z, [0.0, 1.0], rtol=0.0, atol=1e-8)
@@ -211,7 +211,7 @@ def test_reaches_the_optimum():
 def test_infeasible_start_is_returned_untouched():
     c0, d, _ = one_block()
     z0 = np.array([0.0, 2.0])
-    z, iterations, status = barrier_solve(c0, d, z0, *SETTINGS)
+    z, iterations, status = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
     assert np.array_equal(z, z0)
     assert (iterations, status) == (0, 2)
 
@@ -221,15 +221,27 @@ def test_non_finite_direction_fails(bad):
     c0, d, z0 = one_block()
     d[0, 0, 0, 1] = d[0, 0, 1, 0] = bad
     with np.errstate(invalid="ignore"):
-        _, _, status = barrier_solve(c0, d, z0, *SETTINGS)
+        _, _, status = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
     assert status == 2
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_start_is_refused_before_newton(bad):
+    # 0 * bad is NaN, so the start block is not finite; Cholesky does not
+    # raise on NaN, only the finiteness check refuses it
+    c0, d, z0 = one_block()
+    d[0, 0, 0, 1] = d[0, 0, 1, 0] = bad
+    with np.errstate(invalid="ignore"):
+        z, iterations, status = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
+    assert np.array_equal(z, z0)
+    assert (iterations, status) == (0, 2)
 
 
 def test_newton_budget_exhausted():
     c0, d, z0 = one_block()
     settings = list(SETTINGS)
     settings[4] = 1
-    _, iterations, status = barrier_solve(c0, d, z0, *settings)
+    _, iterations, status = barrier_solve(c0, d, [[0, 1]], z0, *settings)
     assert status == 1
     # one Newton step per barrier stage: mu runs 1, 0.2, ..., down to 1e-10
     assert iterations == 15

@@ -91,6 +91,17 @@ def test_non_finite_rates_are_rejected(bad):
         verify_certificate(cert, demo_system(), rho_prime=bad)
 
 
+def test_rates_whose_square_overflows_are_rejected():
+    with pytest.raises(ValueError, match="rho squared overflows"):
+        assemble_lmi(de_bruijn(AB, 1), demo_system(), 1e200)
+    cert = identity_certificate(de_bruijn(AB, 1), rho=1e200)
+    with pytest.raises(ValueError, match="rho squared overflows"):
+        verify_certificate(cert, demo_system())
+    cert = identity_certificate(de_bruijn(AB, 1), rho=5.0)
+    with pytest.raises(ValueError, match="rho / rho_prime squared overflows"):
+        verify_certificate(cert, demo_system(), rho_prime=1e-200)
+
+
 # ---------------------------------------------------------------------------
 # LMI assembly
 # ---------------------------------------------------------------------------

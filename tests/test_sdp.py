@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import margin_corpus
+from pathlyap.fixtures import demo_system
 from oracles import grid_margin_2x2
 from pathlyap.errors import (
     NotPathCompleteError,
@@ -173,6 +174,24 @@ def test_jsr_zero_modes_widen_from_floor():
     assert 0.0 < res.rho_upper <= 1e-3
     assert verify_certificate(res.certificate, sys).ok
     assert any(t <= FEASIBILITY_THRESHOLD for _, t in res.trace)
+
+
+def test_jsr_large_tolerance_keeps_the_norm_seed():
+    system = demo_system()
+    seed = 1.01 * max(np.linalg.norm(a, 2) for a in system.modes.values())
+    res = jsr_upper_bound(de_bruijn(("a", "b"), 2), system, tol=10.0)
+    assert res.rho_upper <= seed
+    assert verify_certificate(res.certificate, system).ok
+
+
+def test_jsr_rates_whose_square_overflows():
+    g = LabeledGraph(("a",), ("n",), [("n", "n", "a")])
+    sys = SwitchedLinearSystem(("a",), 2, {"a": np.eye(2) * 0.5})
+    with pytest.raises(ValueError, match="tol squared overflows"):
+        jsr_upper_bound(g, sys, tol=1e300)
+    huge = SwitchedLinearSystem(("a",), 2, {"a": np.eye(2) * 1e160})
+    with pytest.raises(NumericalError, match="squared overflows"):
+        jsr_upper_bound(g, huge, tol=1e-3)
 
 
 def test_jsr_propagates_solver_failure(monkeypatch):

@@ -59,6 +59,9 @@ def test_simulate_validation():
         simulate(demo_system(), ("c",), np.zeros(2))
     with pytest.raises(ValueError):
         simulate(demo_system(), ("a",), np.zeros(3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="x0"):
+            simulate(demo_system(), ("a",), np.array([bad, 1.0]))
 
 
 def test_trajectory_json():
