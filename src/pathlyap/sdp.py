@@ -37,6 +37,9 @@ from .lyapunov import QuadraticCertificate, assemble_lmi, verify_certificate
 # a probe counts as feasible only when its recomputed margin clears this
 FEASIBILITY_THRESHOLD = 1e-7
 
+# smallest starting rate for the upper seed: a margin is at most rho^2,
+# so a seed far below sqrt(FEASIBILITY_THRESHOLD) can never be certified
+_SEED_FLOOR = 1e-4
 _WIDEN_LIMIT = 8
 _BISECT_LIMIT = 200
 
@@ -185,19 +188,16 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
 
     Seeds: the largest single-mode spectral radius from below (no single
     mode can be beaten), the largest single-mode 2-norm (padded 1%) from
-    above (a common identity certificate works there), or `tol` when every
-    mode is zero.  The upper seed is widened up to 8 times if its probe is
-    infeasible.  Raises NotPathCompleteError on graphs with unreadable
-    words unless `require_path_complete` is False, in which case it warns
-    and bounds only what the graph reads, ValueError when the square of
-    `tol` overflows, and NumericalError when the square of a probed rate
-    does.
+    above (a common identity certificate works there), floored at 1e-4 so
+    that tiny or zero modes start at a rate whose margin can clear the
+    feasibility threshold.  The upper seed is widened up to 8 times if its
+    probe is infeasible.  Raises NotPathCompleteError on graphs with
+    unreadable words unless `require_path_complete` is False, in which case
+    it warns and bounds only what the graph reads, and NumericalError when
+    the square of a probed rate overflows.
     """
     if not math.isfinite(tol) or tol <= 0:
         raise ValueError("tol must be positive and finite")
-    if not math.isfinite(tol * tol):
-        # tol is the starting rate when every mode is zero
-        raise ValueError("tol squared overflows")
     witness = find_unreadable_word(graph)
     if witness is not None:
         if require_path_complete:
@@ -228,10 +228,7 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
 
     modes = [system.modes[sym] for sym in system.alphabet]
     lo = max(max(abs(np.linalg.eigvals(a))) for a in modes)
-    hi = 1.01 * max(np.linalg.norm(a, 2) for a in modes)
-    if hi == 0.0:
-        # every mode is zero: every positive rate is certifiable
-        hi = tol
+    hi = max(1.01 * max(np.linalg.norm(a, 2) for a in modes), _SEED_FLOOR)
 
     widened = 0
     while not probe(hi):

@@ -184,11 +184,24 @@ def test_jsr_large_tolerance_keeps_the_norm_seed():
     assert verify_certificate(res.certificate, system).ok
 
 
-def test_jsr_rates_whose_square_overflows():
+def test_jsr_tiny_modes_start_from_the_seed_floor():
+    g = LabeledGraph(("a",), ("n",), [("n", "n", "a")])
+    sys = SwitchedLinearSystem(("a",), 2, {"a": np.eye(2) * 1e-7})
+    res = jsr_upper_bound(g, sys, tol=1e-4)
+    assert 0.0 < res.rho_upper <= 1e-3
+    assert verify_certificate(res.certificate, sys).ok
+
+
+def test_jsr_huge_tolerance_is_not_a_rate():
     g = LabeledGraph(("a",), ("n",), [("n", "n", "a")])
     sys = SwitchedLinearSystem(("a",), 2, {"a": np.eye(2) * 0.5})
-    with pytest.raises(ValueError, match="tol squared overflows"):
-        jsr_upper_bound(g, sys, tol=1e300)
+    res = jsr_upper_bound(g, sys, tol=1e300)
+    assert res.rho_upper <= 1.01 * 0.5
+    assert verify_certificate(res.certificate, sys).ok
+
+
+def test_jsr_seed_whose_square_overflows():
+    g = LabeledGraph(("a",), ("n",), [("n", "n", "a")])
     huge = SwitchedLinearSystem(("a",), 2, {"a": np.eye(2) * 1e160})
     with pytest.raises(NumericalError, match="squared overflows"):
         jsr_upper_bound(g, huge, tol=1e-3)
