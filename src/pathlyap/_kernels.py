@@ -20,6 +20,16 @@ Programming, SIAM Review 1996), both scattered from slots to unknowns
 through ``index``.  That is K w products for E and K Gram blocks of size
 w x w, in place of one dense product over every unknown of every block;
 only the final m1 x m1 solve is dense.
+
+A caller that needs only the sign of the optimum against a level passes
+it as ``decide``, and the solve stops once that sign is certified.  The
+feasible exit comes after any accepted Newton step with ``z[-1] > decide``:
+the step's Cholesky factorization succeeded, so every block dominates
+``z[-1] I`` there.  The infeasible exit comes at the end of a stage whose
+centering converged, with ``z[-1] + N mu < decide``: a centred point of
+barrier weight mu is within the duality gap ``N mu`` of the optimum, with
+``N = K n`` the total order of the blocks (Vandenberghe & Boyd, Semidefinite
+Programming, SIAM Review 1996).
 """
 
 import numpy as np
@@ -40,7 +50,7 @@ def _factor(s):
 
 
 def barrier_solve(c0, local, index, z0, mu0, mu_min, mu_shrink, newton_tol,
-                  max_newton, armijo_c, step_shrink, min_step):
+                  max_newton, armijo_c, step_shrink, min_step, decide=None):
     """Damped-Newton path following for max z[-1] s.t. all blocks PD.
 
     c0 is the (K, n, n) constant stack, local the (K, w, n, n) directions
@@ -51,6 +61,11 @@ def barrier_solve(c0, local, index, z0, mu0, mu_min, mu_shrink, newton_tol,
     z0 and no iteration is counted) or a Newton step is not finite.  The
     caller recomputes the reported margin from z independently, so status
     is advisory.
+
+    With `decide` set, the solve stops as soon as the sign of z[-1] - decide
+    at the optimum is certified: after an accepted step with z[-1] > decide
+    (feasible), or at the end of a converged stage with z[-1] + K n mu <
+    decide (infeasible).  Either exit returns status 0.
     """
     count, width, n, _ = local.shape
     m1 = len(z0)
@@ -73,6 +88,8 @@ def barrier_solve(c0, local, index, z0, mu0, mu_min, mu_shrink, newton_tol,
     if chol is None:
         return z, iterations, 2
 
+    # duality gap of a centred point per unit barrier weight
+    gap = count * n
     status = 0
     mu = mu0
     while mu >= mu_min:
@@ -116,6 +133,10 @@ def barrier_solve(c0, local, index, z0, mu0, mu_min, mu_shrink, newton_tol,
                 # no float-representable step improves f: stationary enough
                 converged = True
                 break
+            if decide is not None and z[-1] > decide:
+                return z, iterations, 0
         status = 0 if converged else 1
+        if decide is not None and converged and z[-1] + gap * mu < decide:
+            return z, iterations, 0
         mu *= mu_shrink
     return z, iterations, status

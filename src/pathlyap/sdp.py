@@ -16,6 +16,11 @@ eigenvalue solve, never trusted from the optimizer state.
 ``jsr_upper_bound`` brackets the certifiable growth rate by bisection on
 rho, probing feasibility of the margin program, and returns the smallest
 feasible probe together with its independently re-verified certificate.
+Bisection reads only the sign of each probe's margin, so its probes run
+``solve_margin`` in sign-only mode, which stops each solve once the kernel
+has certified which side of :data:`FEASIBILITY_THRESHOLD` the optimum lies
+on.  The smallest feasible probe is then solved once more in full, and the
+certificate comes from that solve.
 """
 
 import math
@@ -81,7 +86,7 @@ def _trace_zero_basis(n):
 _STATUS_NAMES = {0: "optimal", 1: "max-iterations", 2: "numerical-failure"}
 
 
-def solve_margin(problem, unknown_cap=None):
+def solve_margin(problem, unknown_cap=None, *, sign_only=False):
     """Maximize the common slack t of all blocks of `problem`.
 
     Each P_s is I + sum_j z_j B_j over the trace-zero basis B, so the
@@ -92,6 +97,13 @@ def solve_margin(problem, unknown_cap=None):
     dense solve in the m1 unknowns.  The solve refuses problems with more
     scalar unknowns than `unknown_cap` (default
     :data:`pathlyap.errors.DEFAULT_UNKNOWN_CAP`).
+
+    With `sign_only`, the solve only decides whether the margin clears
+    :data:`FEASIBILITY_THRESHOLD`: the barrier weight shrinks by 0.05 per
+    stage instead of 0.2, and the kernel stops once the verdict is
+    certified.  The returned margin is then recomputed at that point, so
+    its sign against the threshold is the verdict but its value is not the
+    optimum.  A solve that no stage decides runs to the end.
     """
     cap = DEFAULT_UNKNOWN_CAP if unknown_cap is None else int(unknown_cap)
     n = problem.dimension
@@ -134,12 +146,13 @@ def solve_margin(problem, unknown_cap=None):
         c0, local, index, z0,
         1.0,      # initial barrier weight
         1e-10,    # final barrier weight
-        0.2,      # weight shrink per stage
+        0.05 if sign_only else 0.2,   # weight shrink per stage
         1e-11,    # Newton decrement tolerance
         80,       # Newton iterations per stage
         0.25,     # Armijo slope fraction
         0.5,      # backtracking shrink
         1e-14,    # smallest line-search step
+        decide=FEASIBILITY_THRESHOLD if sign_only else None,
     )
 
     z_nodes = z[:-1].reshape(nodes, p)
@@ -166,7 +179,10 @@ class JsrBoundResult:
 
     trace lists every probed (rho, margin) pair in probe order; the bound
     is the smallest probed rho whose margin cleared the feasibility
-    threshold, and certificate is that probe's assignment, re-verified.
+    threshold.  A trace margin is recomputed at the point where its probe
+    was decided: its sign against the threshold is the verdict, and it is
+    not the optimum.  certificate comes from a full solve at the bound,
+    re-verified, and its margin is that solve's optimum.
     """
 
     rho_upper: float
@@ -212,18 +228,24 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
     trace = []
     best = [None]
 
+    def solved(problem, **options):
+        sol = solve_margin(problem, unknown_cap=unknown_cap, **options)
+        if sol.status == "numerical-failure":
+            raise NumericalError(
+                f"margin solve broke down at rate {problem.rho}"
+            )
+        return sol
+
     def probe(rho):
         rho = float(rho)
         if not math.isfinite(rho * rho):
             raise NumericalError(f"rate {rho} squared overflows")
-        sol = solve_margin(assemble_lmi(graph, system, rho),
-                           unknown_cap=unknown_cap)
-        if sol.status == "numerical-failure":
-            raise NumericalError(f"margin solve broke down at rate {rho}")
+        problem = assemble_lmi(graph, system, rho)
+        sol = solved(problem, sign_only=True)
         trace.append((rho, float(sol.margin)))
         feasible = sol.margin > FEASIBILITY_THRESHOLD
         if feasible and (best[0] is None or rho < best[0][0]):
-            best[0] = (rho, sol)
+            best[0] = (rho, problem)
         return feasible
 
     modes = [system.modes[sym] for sym in system.alphabet]
@@ -252,7 +274,9 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
         else:
             lo = mid
 
-    rho_upper, solution = best[0]
+    # the probes only decided signs: certify the bound from a full solve
+    rho_upper, problem = best[0]
+    solution = solved(problem)
     cert = QuadraticCertificate(graph, solution.assignment, rho_upper)
     report = verify_certificate(cert, system)
     if not report.ok:

@@ -228,6 +228,9 @@ def trajectory_decrease_check(w_fn, structure, sys, rho_prime, trials=100,
         norm0 = float(x0 @ x0)
         current = start
         bad = 0
+        # 1 / rho_prime^(k+1), built one step at a time: a huge rho_prime
+        # underflows it to 0, where rho_prime ** (k + 1) would overflow
+        scale = 1.0
         for k, sym in enumerate(word):
             nexts = successors.get((current, sym), ())
             if not nexts:
@@ -235,7 +238,8 @@ def trajectory_decrease_check(w_fn, structure, sys, rho_prime, trials=100,
                     f"member {current!r} has no successor for symbol "
                     f"{sym!r}; the structure is not prepend-closed"
                 )
-            xk = states[k + 1] / float(rho_prime) ** (k + 1)
+            scale /= float(rho_prime)
+            xk = states[k + 1] * scale
             bound = gamma ** (k + 1) * w0
             for candidate in nexts:
                 value = evaluate_mblf(w_fn, candidate, xk)

@@ -259,6 +259,27 @@ def test_decrease_check_bad_input_exits_two(demo_files, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+def test_decrease_check_of_a_huge_rate(demo_files, tmp_path, capsys):
+    # rho_prime = 1.01e200: its square and higher powers overflow a float
+    from pathlyap.lyapunov import QuadraticCertificate
+
+    cert = QuadraticCertificate(
+        de_bruijn_1_graph(),
+        {"[a]": np.eye(2), "[b]": np.eye(2)},
+        rho=1e200,
+    ).to_json()
+    obs_file = tmp_path / "obs.json"
+    run(["observer", "build", demo_files["db1"], "-o", str(obs_file)])
+    capsys.readouterr()
+    assert run(["decrease-check",
+                "--certificate", write_json(tmp_path, "cert.json", cert),
+                "--observer", str(obs_file), "--system", demo_files["system"],
+                "--trials", "5"]) == 0
+    captured = capsys.readouterr()
+    assert "failures: 0" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_certificate_lift(demo_files, tmp_path, capsys):
     run(["jsr", "upper", "--graph", demo_files["mixed"],
          "--system", demo_files["system"], "--tol", "1e-3",

@@ -15,7 +15,7 @@ from pathlyap._kernels import barrier_solve
 from pathlyap.fixtures import demo_system
 from pathlyap.graphs import LabeledGraph, de_bruijn
 from pathlyap.lyapunov import SwitchedLinearSystem, assemble_lmi
-from pathlyap.sdp import solve_margin
+from pathlyap.sdp import FEASIBILITY_THRESHOLD, solve_margin
 
 MARGIN_TOL = 5e-9
 P_TOL = 1e-6
@@ -245,3 +245,58 @@ def test_newton_budget_exhausted():
     assert status == 1
     # one Newton step per barrier stage: mu runs 1, 0.2, ..., down to 1e-10
     assert iterations == 15
+
+
+# ---------------------------------------------------------------------------
+# sign-only exits: one_block's optimum is t = 1 and its central path is
+# y = 0, t = 1 - 2 mu, so the gap bound t + K n mu = 1 is tight
+# ---------------------------------------------------------------------------
+
+def test_feasible_exit_stops_once_the_margin_clears():
+    c0, d, z0 = one_block()
+    _, full, _ = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
+    z, iterations, status = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS,
+                                          decide=0.9)
+    assert status == 0
+    assert 0.9 < z[1] < 1.0
+    assert iterations < full
+
+
+def test_infeasible_exit_returns_a_centred_stage_end():
+    c0, d, _ = one_block()
+    z0 = np.array([0.5, -3.0])
+    _, full, _ = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
+    z, iterations, status = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS,
+                                          decide=1.05)
+    assert status == 0
+    assert iterations < full
+    # at mu = 1 the gap bound already reads 1 < 1.05: the exit returns
+    # exactly what a solve that stops after that stage returns
+    settings = list(SETTINGS)
+    settings[1] = 1.0
+    first_stage = barrier_solve(c0, d, [[0, 1]], z0, *settings)
+    assert np.array_equal(z, first_stage[0])
+    assert (iterations, status) == first_stage[1:]
+
+
+def test_unconverged_stage_decides_nothing():
+    # one Newton step per stage from far below the central path: the
+    # stage ends with t + K n mu < decide although the optimum is above it
+    c0, d, _ = one_block()
+    settings = list(SETTINGS)
+    settings[4] = 1
+    z, _, _ = barrier_solve(c0, d, [[0, 1]], np.array([0.0, -10.0]),
+                            *settings, decide=0.5)
+    assert z[1] > 0.5
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.99], ids=["at-rho", "below-rho"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sign_only_verdict_matches_the_full_solve(name, scale):
+    graph, system, rho = CASES[name]()
+    problem = assemble_lmi(graph, system, scale * rho)
+    full = solve_margin(problem)
+    probe = solve_margin(problem, sign_only=True)
+    assert ((probe.margin > FEASIBILITY_THRESHOLD)
+            == (full.margin > FEASIBILITY_THRESHOLD))
+    assert probe.iterations <= full.iterations

@@ -23,6 +23,7 @@ from pathlyap.sdp import (
     solve_margin,
 )
 from test_graphs import lonely_loop, mixed_horizon
+from test_kernels import wide_db2
 
 SYMS = "abcdefgh"
 
@@ -105,6 +106,17 @@ def test_margin_corpus_matches_grid_oracle():
         )
         assert max(abs(u), abs(v)) <= 1.15, "oracle optimum must be interior"
         assert abs(sol.margin - oracle) <= 1e-2, problem
+
+
+def test_sign_only_verdict_matches_on_the_corpus():
+    for problem in margin_corpus():
+        modes = [np.asarray(m) for m in problem["modes"]]
+        lmi = loop_problem(problem["rho"], modes)
+        full = solve_margin(lmi)
+        probe = solve_margin(lmi, sign_only=True)
+        assert ((probe.margin > FEASIBILITY_THRESHOLD)
+                == (full.margin > FEASIBILITY_THRESHOLD)), problem
+        assert probe.iterations <= full.iterations, problem
 
 
 def test_margin_unknown_cap():
@@ -210,7 +222,7 @@ def test_jsr_seed_whose_square_overflows():
 def test_jsr_propagates_solver_failure(monkeypatch):
     import pathlyap.sdp as sdp_module
 
-    def broken(problem, unknown_cap=None):
+    def broken(problem, unknown_cap=None, **kwargs):
         return MarginSolution(
             margin=float("nan"), assignment={}, iterations=1,
             status="numerical-failure",
@@ -221,6 +233,31 @@ def test_jsr_propagates_solver_failure(monkeypatch):
     sys = SwitchedLinearSystem(("a",), 2, {"a": np.diag([2.0, 0.5])})
     with pytest.raises(NumericalError):
         jsr_upper_bound(g, sys, tol=1e-3)
+
+
+@pytest.mark.parametrize("case", ["demo-db1", "wide-db1"])
+def test_sign_only_probes_change_no_bound(monkeypatch, case):
+    import pathlyap.sdp as sdp_module
+
+    if case == "demo-db1":
+        graph, system = de_bruijn(("a", "b"), 1), demo_system()
+    else:
+        _, system, _ = wide_db2()
+        graph = de_bruijn(("a", "b", "c"), 1)
+    fast = jsr_upper_bound(graph, system, tol=1e-4)
+
+    full_solve = sdp_module.solve_margin
+
+    def full_probes(problem, unknown_cap=None, sign_only=False):
+        return full_solve(problem, unknown_cap=unknown_cap)
+
+    monkeypatch.setattr(sdp_module, "solve_margin", full_probes)
+    slow = jsr_upper_bound(graph, system, tol=1e-4)
+    assert [r for r, _ in fast.trace] == [r for r, _ in slow.trace]
+    assert fast.rho_upper == slow.rho_upper
+    assert fast.certificate.margin == slow.certificate.margin
+    for node, matrix in slow.certificate.P.items():
+        assert np.array_equal(fast.certificate.P[node], matrix)
 
 
 def test_jsr_rejects_bad_tolerance():

@@ -5,10 +5,15 @@ import pytest
 
 from pathlyap.covering import prefix_covering
 from pathlyap.errors import InvariantViolation, ResourceLimitError
-from pathlyap.fixtures import demo_system, mixed_horizon_graph
+from pathlyap.fixtures import (
+    de_bruijn_1_graph,
+    demo_system,
+    mixed_horizon_graph,
+)
 from pathlyap.graphs import LabeledGraph
 from pathlyap.lyapunov import (
     MaxQuadraticFunction,
+    QuadraticCertificate,
     SwitchedLinearSystem,
     lift_certificate,
 )
@@ -181,6 +186,23 @@ def test_zero_start_is_trivially_fine():
     assert report.trials == 1
     assert report.passes == 1
     assert report.failures == 0
+
+
+def test_decrease_check_of_a_huge_rate():
+    # rho_prime^(k+1) overflows a float from k = 1 on; the scaled states
+    # underflow to 0 instead, which satisfies every bound
+    graph = de_bruijn_1_graph()
+    cert = QuadraticCertificate(
+        graph, {"[a]": np.eye(2), "[b]": np.eye(2)}, rho=1e200
+    )
+    obs = observer_graph(graph)
+    report = trajectory_decrease_check(
+        lift_certificate(cert, obs), obs, demo_system(), rho_prime=1.01e200,
+        trials=5, horizon=10,
+    )
+    assert report.failures == 0
+    assert report.worst_slack >= 0
+    assert report.gamma == pytest.approx(1.01 ** -2)
 
 
 def test_decrease_through_covering_structure_is_tight():
