@@ -5,6 +5,13 @@ false or verification failed, 2 usage or input error, 3 resource or
 numerical error.  Every command prints a short text summary by default;
 ``--format json`` prints the full-precision result object instead, and
 ``-o FILE`` additionally writes that object to a file.
+
+Each handler imports the library modules it runs, and nothing else is
+loaded: the ``graph``, ``observer`` and ``covering`` commands run without
+numpy, and ``jsr upper`` does not load the covering layer.
+
+Caps, from ``--cap`` or from the ``PATHLYAP_STATE_CAP`` environment
+variable, must be positive integers; any other value exits 2.
 """
 
 import argparse
@@ -12,40 +19,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .covering import (
-    covering_from_json,
-    covering_to_graph,
-    observer_to_covering,
-    validate_covering,
-)
 from .errors import (
     InvariantViolation,
     NotPathCompleteError,
     NumericalError,
     ResourceLimitError,
-)
-from .graphs import (
-    de_bruijn,
-    dual,
-    find_unreadable_word,
-    graph_from_json,
-    is_complete,
-    is_deterministic,
-)
-from .lyapunov import (
-    certificate_from_json,
-    lift_certificate,
-    system_from_json,
-    verify_certificate,
-)
-from .observer import observer_core, observer_from_json, observer_graph
-from .sdp import jsr_upper_bound
-from .simulate import (
-    jsr_lower_bound,
-    simulate as simulate_system,
-    trajectory_decrease_check,
 )
 
 
@@ -77,6 +55,13 @@ def _split_word(text):
 # ---------------------------------------------------------------------------
 
 def _cmd_graph_check(args):
+    from .graphs import (
+        find_unreadable_word,
+        graph_from_json,
+        is_complete,
+        is_deterministic,
+    )
+
     g = graph_from_json(_load(args.graph))
     wanted = []
     if args.path_complete:
@@ -114,6 +99,8 @@ def _cmd_graph_check(args):
 
 
 def _cmd_graph_debruijn(args):
+    from .graphs import de_bruijn
+
     alphabet = _split_word(args.alphabet)
     if not alphabet:
         raise ValueError("alphabet must list at least one symbol")
@@ -127,6 +114,8 @@ def _cmd_graph_debruijn(args):
 
 
 def _cmd_graph_dual(args):
+    from .graphs import dual, graph_from_json
+
     g = dual(graph_from_json(_load(args.graph)))
     _emit(args, g.to_json(),
           [f"dual graph: {len(g.nodes)} nodes, {len(g.edges)} edges"])
@@ -134,6 +123,9 @@ def _cmd_graph_dual(args):
 
 
 def _cmd_observer_build(args):
+    from .graphs import graph_from_json
+    from .observer import observer_graph
+
     obs = observer_graph(graph_from_json(_load(args.graph)), cap=args.cap)
     _emit(args, obs.to_json(), [
         f"observer: {len(obs.graph.nodes)} nodes, "
@@ -143,6 +135,8 @@ def _cmd_observer_build(args):
 
 
 def _cmd_observer_core(args):
+    from .observer import observer_core, observer_from_json
+
     core = observer_core(observer_from_json(_load(args.observer)))
     _emit(args, core.to_json(),
           [f"core: {len(core.nodes)} nodes, {len(core.edges)} edges"])
@@ -162,12 +156,20 @@ def _covering_report_lines(report):
 
 
 def _cmd_covering_validate(args):
+    from .covering import covering_from_json, validate_covering
+
     report = validate_covering(covering_from_json(_load(args.covering)))
     _emit(args, report.to_json(), _covering_report_lines(report))
     return 0 if report.ok else 1
 
 
 def _cmd_covering_to_graph(args):
+    from .covering import (
+        covering_from_json,
+        covering_to_graph,
+        validate_covering,
+    )
+
     family = covering_from_json(_load(args.covering))
     try:
         g, _ = covering_to_graph(family)
@@ -183,6 +185,9 @@ def _cmd_covering_to_graph(args):
 
 
 def _cmd_covering_from_graph(args):
+    from .covering import observer_to_covering
+    from .observer import observer_from_json
+
     family = observer_to_covering(observer_from_json(_load(args.observer)))
     _emit(args, family.to_json(),
           [f"covering family: {len(family.members)} members"])
@@ -190,6 +195,10 @@ def _cmd_covering_from_graph(args):
 
 
 def _cmd_jsr_upper(args):
+    from .graphs import graph_from_json
+    from .lyapunov import system_from_json
+    from .sdp import jsr_upper_bound
+
     g = graph_from_json(_load(args.graph))
     system = system_from_json(_load(args.system))
     res = jsr_upper_bound(
@@ -206,6 +215,9 @@ def _cmd_jsr_upper(args):
 
 
 def _cmd_jsr_lower(args):
+    from .lyapunov import system_from_json
+    from .simulate import jsr_lower_bound
+
     system = system_from_json(_load(args.system))
     rho, witness = jsr_lower_bound(system, args.max_len, cap=args.cap)
     _emit(args, {"rho_lower": rho, "witness": list(witness)},
@@ -214,6 +226,12 @@ def _cmd_jsr_lower(args):
 
 
 def _cmd_certificate_verify(args):
+    from .lyapunov import (
+        certificate_from_json,
+        system_from_json,
+        verify_certificate,
+    )
+
     cert = certificate_from_json(_load(args.certificate))
     system = system_from_json(_load(args.system))
     report = verify_certificate(cert, system, rho_prime=args.rho_prime)
@@ -228,6 +246,9 @@ def _cmd_certificate_verify(args):
 
 
 def _cmd_certificate_lift(args):
+    from .lyapunov import certificate_from_json, lift_certificate
+    from .observer import observer_from_json
+
     cert = certificate_from_json(_load(args.certificate))
     obs = observer_from_json(_load(args.observer))
     lifted = lift_certificate(cert, obs)
@@ -247,10 +268,13 @@ def _cmd_certificate_lift(args):
 
 
 def _cmd_simulate(args):
+    from .lyapunov import system_from_json
+    from .simulate import simulate
+
     system = system_from_json(_load(args.system))
     word = _split_word(args.word)
-    x0 = np.array([float(v) for v in args.x0.split(",")])
-    traj = simulate_system(system, word, x0)
+    x0 = [float(v) for v in args.x0.split(",")]
+    traj = simulate(system, word, x0)
     final = ", ".join(_fmt(v) for v in traj.states[-1])
     _emit(args, traj.to_json(),
           [f"steps: {len(word)}", f"final state: [{final}]"])
@@ -258,6 +282,14 @@ def _cmd_simulate(args):
 
 
 def _cmd_decrease_check(args):
+    from .lyapunov import (
+        certificate_from_json,
+        lift_certificate,
+        system_from_json,
+    )
+    from .observer import observer_from_json
+    from .simulate import trajectory_decrease_check
+
     cert = certificate_from_json(_load(args.certificate))
     obs = observer_from_json(_load(args.observer))
     system = system_from_json(_load(args.system))

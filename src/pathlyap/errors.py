@@ -3,9 +3,11 @@
 All potentially exponential constructions (subset exploration,
 determinization, word enumeration) carry a state cap and abort with
 :class:`ResourceLimitError` instead of hanging.  The environment variable
-``PATHLYAP_STATE_CAP`` overrides the default caps globally.
+``PATHLYAP_STATE_CAP`` overrides the default caps globally.  A cap,
+explicit or from the environment, must be a positive integer.
 """
 
+import operator
 import os
 
 STATE_CAP_ENV = "PATHLYAP_STATE_CAP"
@@ -41,11 +43,26 @@ class NotPathCompleteError(ValueError):
         super().__init__(f"not path-complete: word [{shown}] has no reading path")
 
 
+def positive_cap(value, name):
+    """`value` (an int, or its decimal text) as a positive int; a ValueError
+    that names `name` otherwise."""
+    try:
+        cap = int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return cap
+
+
 def state_cap(explicit=None, default=DEFAULT_SUBSET_CAP):
-    """Resolve a cap: explicit argument, else env override, else default."""
+    """Resolve a cap: explicit argument, else env override, else default.
+
+    Either must be a positive integer; anything else raises ValueError.
+    """
     if explicit is not None:
-        return int(explicit)
+        return positive_cap(explicit, "state cap")
     env = os.environ.get(STATE_CAP_ENV)
     if env:
-        return int(env)
+        return positive_cap(env, STATE_CAP_ENV)
     return default

@@ -35,6 +35,7 @@ from .errors import (
     NotPathCompleteError,
     NumericalError,
     ResourceLimitError,
+    positive_cap,
 )
 from .graphs import find_unreadable_word
 from .lyapunov import QuadraticCertificate, assemble_lmi, verify_certificate
@@ -96,7 +97,8 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False):
     Newton step then costs K w^2 n^2 of block work for K blocks plus one
     dense solve in the m1 unknowns.  The solve refuses problems with more
     scalar unknowns than `unknown_cap` (default
-    :data:`pathlyap.errors.DEFAULT_UNKNOWN_CAP`).
+    :data:`pathlyap.errors.DEFAULT_UNKNOWN_CAP`), which must be a positive
+    integer.
 
     With `sign_only`, the solve only decides whether the margin clears
     :data:`FEASIBILITY_THRESHOLD`: the barrier weight shrinks by 0.05 per
@@ -105,7 +107,8 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False):
     its sign against the threshold is the verdict but its value is not the
     optimum.  A solve that no stage decides runs to the end.
     """
-    cap = DEFAULT_UNKNOWN_CAP if unknown_cap is None else int(unknown_cap)
+    cap = (DEFAULT_UNKNOWN_CAP if unknown_cap is None
+           else positive_cap(unknown_cap, "unknown cap"))
     n = problem.dimension
     basis = _trace_zero_basis(n)
     p = len(basis)

@@ -181,6 +181,35 @@ def test_jsr_upper_resource_limit_exits_three(demo_files, tmp_path):
                 "--system", demo_files["system"]]) == 3
 
 
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_jsr_upper_non_positive_cap_exits_two(demo_files, capsys, cap):
+    assert run(["jsr", "upper", "--graph", demo_files["db1"],
+                "--system", demo_files["system"], "--cap", cap]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown cap must be a positive integer, got {cap}" in err
+
+
+def test_non_integer_cap_exits_two(demo_files, capsys):
+    assert run(["graph", "check", demo_files["db1"], "--cap", "1.5"]) == 2
+    assert "--cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env", ["-5", "0", "abc", "1.5"])
+def test_bad_state_cap_environment_exits_two(demo_files, capsys, monkeypatch,
+                                             env):
+    monkeypatch.setenv("PATHLYAP_STATE_CAP", env)
+    assert run(["graph", "check", demo_files["db1"]]) == 2
+    err = capsys.readouterr().err
+    assert f"PATHLYAP_STATE_CAP must be a positive integer, got {env!r}" in err
+
+
+def test_negative_state_cap_exits_two(demo_files, capsys):
+    assert run(["observer", "build", demo_files["db1"], "--cap", "-1"]) == 2
+    assert "state cap must be a positive integer, got -1" in (
+        capsys.readouterr().err
+    )
+
+
 def test_jsr_lower(demo_files, capsys):
     assert run(["jsr", "lower", "--system", demo_files["system"],
                 "--max-len", "2"]) == 0

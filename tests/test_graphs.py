@@ -222,6 +222,12 @@ def test_witness_is_first_unreadable_word():
     assert found > 20
 
 
+@pytest.mark.parametrize("cap", [0, -3, 2.5])
+def test_invalid_state_cap_is_a_value_error(cap):
+    with pytest.raises(ValueError, match="state cap must be a positive"):
+        find_unreadable_word(de_bruijn(("a", "b"), 1), cap=cap)
+
+
 def test_state_cap_enforced():
     with pytest.raises(ResourceLimitError):
         is_path_complete(de_bruijn(("a", "b"), 1), cap=1)

@@ -127,6 +127,9 @@ def test_margin_unknown_cap():
         solve_margin(p)
     sol = solve_margin(p, unknown_cap=200)
     assert sol.status == "optimal"
+    for bad in (0, -1, 200.0):
+        with pytest.raises(ValueError, match="unknown cap must be a positive"):
+            solve_margin(p, unknown_cap=bad)
 
 
 def test_solution_bookkeeping():
