@@ -30,6 +30,14 @@ centering converged, with ``z[-1] + N mu < decide``: a centred point of
 barrier weight mu is within the duality gap ``N mu`` of the optimum, with
 ``N = K n`` the total order of the blocks (Vandenberghe & Boyd, Semidefinite
 Programming, SIAM Review 1996).
+
+The solve returns the barrier weight of the stage it stopped in, so a
+later solve of the same blocks can resume from its point: that point is
+strictly feasible (its Cholesky factorization succeeded), so it needs no
+back-off, and starting at its weight skips the stages already walked.
+Wherever it starts, a solve that converges at its last stage ends within
+``N mu`` of the optimum for that stage's weight mu, the last at or above
+``mu_min``.
 """
 
 import numpy as np
@@ -55,12 +63,13 @@ def barrier_solve(c0, local, index, z0, mu0, mu_min, mu_shrink, newton_tol,
 
     c0 is the (K, n, n) constant stack, local the (K, w, n, n) directions
     of each block and index the (K, w) unknown of each slot; slots of one
-    block that share an unknown add up.  Returns (z, iterations, status)
-    with status 0 when the final centering converged, 1 when it ran out of
-    Newton iterations, and 2 when z0 is not strictly feasible (z is then
-    z0 and no iteration is counted) or a Newton step is not finite.  The
-    caller recomputes the reported margin from z independently, so status
-    is advisory.
+    block that share an unknown add up.  Returns (z, iterations, status,
+    mu) with status 0 when the final centering converged, 1 when it ran
+    out of Newton iterations, and 2 when z0 is not strictly feasible (z is
+    then z0 and no iteration is counted) or a Newton step is not finite;
+    mu is the barrier weight of the stage the solve stopped in (mu0 if it
+    stopped before the first).  The caller recomputes the reported margin
+    from z independently, so status is advisory.
 
     With `decide` set, the solve stops as soon as the sign of z[-1] - decide
     at the optimum is certified: after an accepted step with z[-1] > decide
@@ -86,13 +95,14 @@ def barrier_solve(c0, local, index, z0, mu0, mu_min, mu_shrink, newton_tol,
     s = c0 + along(z)
     chol, log_det = _factor(s)
     if chol is None:
-        return z, iterations, 2
+        return z, iterations, 2, mu0
 
     # duality gap of a centred point per unit barrier weight
     gap = count * n
     status = 0
-    mu = mu0
+    mu = stage = mu0
     while mu >= mu_min:
+        stage = mu
         converged = False
         for _ in range(max_newton):
             iterations += 1
@@ -111,7 +121,7 @@ def barrier_solve(c0, local, index, z0, mu0, mu_min, mu_shrink, newton_tol,
             hess.flat[::m1 + 1] += 1e-13 * max(1.0, hess.diagonal().max())
             step = np.linalg.solve(hess, -grad)
             if not np.all(np.isfinite(step)):
-                return z, iterations, 2
+                return z, iterations, 2, mu
             decrement = -(grad @ step)
             if decrement <= 2.0 * newton_tol:
                 converged = True
@@ -134,9 +144,9 @@ def barrier_solve(c0, local, index, z0, mu0, mu_min, mu_shrink, newton_tol,
                 converged = True
                 break
             if decide is not None and z[-1] > decide:
-                return z, iterations, 0
+                return z, iterations, 0, mu
         status = 0 if converged else 1
         if decide is not None and converged and z[-1] + gap * mu < decide:
-            return z, iterations, 0
+            return z, iterations, 0, mu
         mu *= mu_shrink
-    return z, iterations, status
+    return z, iterations, status, stage

@@ -142,6 +142,72 @@ def certificate_from_json(d):
 
 
 # ---------------------------------------------------------------------------
+# short products
+# ---------------------------------------------------------------------------
+
+# growth rates this close (relatively) count as equal when picking witnesses,
+# so that eigensolves of similar products cannot steal a tie
+_TIE_TOL = 1e-12
+
+
+def _word_at(index, length, alphabet):
+    n = len(alphabet)
+    symbols = []
+    for pos in range(length):
+        symbols.append(alphabet[(index // n ** (length - 1 - pos)) % n])
+    return tuple(symbols)
+
+
+def _unit_scaled(stack):
+    """Divide each matrix of the (K, n, n) stack, in place, by its largest
+    absolute entry, and return the logs of those entries (0 for a zero
+    matrix)."""
+    peak = np.maximum(stack.max(axis=(1, 2)), -stack.min(axis=(1, 2)))
+    peak[peak == 0.0] = 1.0
+    stack /= peak[:, None, None]
+    return np.log(peak)
+
+
+def product_growth(sys, max_len):
+    """Largest spectral-radius(A_w)^(1/|w|) over words with 1 <= |w| <= max_len,
+    and its witness.
+
+    Every product is formed (incrementally, newest mode on the left) and
+    eigensolved; each growth rate is a lower bound on the joint spectral
+    radius.  Every mode and every product is kept divided by its largest
+    entry c_w, with log c_w carried beside it, so that no product overflows
+    however long its word, and none underflows because the scales of the
+    modes lie far apart; the rate is exp((log c_w + log rho(A_w / c_w)) /
+    |w|).  The witness is the
+    shortest, then lexicographically first (in alphabet order), word
+    attaining the maximum, in time order.
+    """
+    n = sys.dimension
+    modes = np.array([sys.modes[s] for s in sys.alphabet])
+    mode_logs = _unit_scaled(modes)
+    best = -math.inf
+    best_word = None
+    prev, logs = np.eye(n)[None], np.zeros(1)
+    for length in range(1, max_len + 1):
+        prev = np.matmul(modes[None], prev[:, None]).reshape(-1, n, n)
+        logs = (logs[:, None] + mode_logs).reshape(-1)
+        logs += _unit_scaled(prev)
+        radii = np.abs(np.linalg.eigvals(prev)).max(axis=1)
+        with np.errstate(divide="ignore"):
+            growth = np.log(radii)
+        growth += logs
+        growth /= length
+        np.exp(growth, out=growth)
+        peak = float(growth.max())
+        tie = _TIE_TOL * max(1.0, abs(peak))
+        if peak > best + tie:
+            index = int(np.argmax(growth >= peak - tie))
+            best = peak
+            best_word = _word_at(index, length, sys.alphabet)
+    return best, best_word
+
+
+# ---------------------------------------------------------------------------
 # LMI assembly
 # ---------------------------------------------------------------------------
 

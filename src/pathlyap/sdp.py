@@ -16,11 +16,19 @@ eigenvalue solve, never trusted from the optimizer state.
 ``jsr_upper_bound`` brackets the certifiable growth rate by bisection on
 rho, probing feasibility of the margin program, and returns the smallest
 feasible probe together with its independently re-verified certificate.
-Bisection reads only the sign of each probe's margin, so its probes run
-``solve_margin`` in sign-only mode, which stops each solve once the kernel
-has certified which side of :data:`FEASIBILITY_THRESHOLD` the optimum lies
-on.  The smallest feasible probe is then solved once more in full, and the
-certificate comes from that solve.
+The bracket's lower end is the anchor: the largest growth rate of a short
+product, rho(A_w)^(1/|w|) over every word up to the longest length whose
+word count stays within :data:`_ANCHOR_WORDS`.  No rate at or below the
+joint spectral radius has a certificate, so the anchor is infeasible on
+every graph without a probe.  The bracket is searched in log scale above
+the anchor (:func:`_log_midpoint`), so a bound that sits on a short product
+takes a handful of probes.  Bisection reads only the sign of each probe's
+margin, so its probes run ``solve_margin`` in sign-only mode, which stops
+each solve once the kernel has certified which side of
+:data:`FEASIBILITY_THRESHOLD` the optimum lies on.  The smallest feasible
+probe is then solved once more in full, resumed from the point and barrier
+weight where its probe stopped, and the certificate comes from that solve;
+its margin is within the central-path gap K n mu_min of the optimum.
 """
 
 import math
@@ -38,7 +46,12 @@ from .errors import (
     positive_cap,
 )
 from .graphs import find_unreadable_word
-from .lyapunov import QuadraticCertificate, assemble_lmi, verify_certificate
+from .lyapunov import (
+    QuadraticCertificate,
+    assemble_lmi,
+    product_growth,
+    verify_certificate,
+)
 
 # a probe counts as feasible only when its recomputed margin clears this
 FEASIBILITY_THRESHOLD = 1e-7
@@ -48,6 +61,8 @@ FEASIBILITY_THRESHOLD = 1e-7
 _SEED_FLOOR = 1e-4
 _WIDEN_LIMIT = 8
 _BISECT_LIMIT = 200
+# most words enumerated for the anchor at the bracket's lower end
+_ANCHOR_WORDS = 1000
 
 
 @dataclass(eq=False)
@@ -57,13 +72,18 @@ class MarginSolution:
     margin is the smallest eigenvalue over all blocks at the
     returned assignment (so it is meaningful even when status says the
     optimizer gave up early).  status is one of "optimal",
-    "max-iterations", "numerical-failure".
+    "max-iterations", "numerical-failure".  point is the kernel's unknown
+    vector (each node's z, then t) and weight the barrier weight of the
+    stage the kernel stopped in; passed as `start=` to another solve of the
+    same problem, they resume the barrier path there.
     """
 
     margin: float
     assignment: dict
     iterations: int
     status: str
+    point: np.ndarray = None
+    weight: float = None
 
 
 def _trace_zero_basis(n):
@@ -87,7 +107,7 @@ def _trace_zero_basis(n):
 _STATUS_NAMES = {0: "optimal", 1: "max-iterations", 2: "numerical-failure"}
 
 
-def solve_margin(problem, unknown_cap=None, *, sign_only=False):
+def solve_margin(problem, unknown_cap=None, *, sign_only=False, start=None):
     """Maximize the common slack t of all blocks of `problem`.
 
     Each P_s is I + sum_j z_j B_j over the trace-zero basis B, so the
@@ -106,6 +126,11 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False):
     certified.  The returned margin is then recomputed at that point, so
     its sign against the threshold is the verdict but its value is not the
     optimum.  A solve that no stage decides runs to the end.
+
+    `start`, a :class:`MarginSolution` of the same problem, starts the
+    kernel at that solution's point and barrier weight instead of at the
+    identity assignment and weight 1.  Its point passed a Cholesky
+    factorization of every block, so it is strictly feasible as it stands.
     """
     cap = (DEFAULT_UNKNOWN_CAP if unknown_cap is None
            else positive_cap(unknown_cap, "unknown cap"))
@@ -140,14 +165,21 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False):
     index[nodes:, p:2 * p] = columns[ends[:, 1]]
     local[:, -1] = -np.eye(n)
 
-    worst = np.linalg.eigvalsh(c0)[:, 0].min()
-    z0 = np.zeros(m1)
-    # start strictly inside the cone: back the margin off from the boundary
-    z0[m1 - 1] = worst - 0.5 * (1.0 + abs(worst))
+    if start is None:
+        worst = np.linalg.eigvalsh(c0)[:, 0].min()
+        z0 = np.zeros(m1)
+        # start strictly inside the cone: back the margin off from the
+        # boundary
+        z0[m1 - 1] = worst - 0.5 * (1.0 + abs(worst))
+        mu0 = 1.0
+    elif start.point is None or start.point.shape != (m1,):
+        raise ValueError("start is not a solution of this problem")
+    else:
+        z0, mu0 = start.point, start.weight
 
-    z, iterations, code = barrier_solve(
+    z, iterations, code, weight = barrier_solve(
         c0, local, index, z0,
-        1.0,      # initial barrier weight
+        mu0,      # initial barrier weight
         1e-10,    # final barrier weight
         0.05 if sign_only else 0.2,   # weight shrink per stage
         1e-11,    # Newton decrement tolerance
@@ -166,6 +198,7 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False):
         return MarginSolution(
             margin=float("nan"), assignment=assignment,
             iterations=int(iterations), status="numerical-failure",
+            point=z, weight=float(weight),
         )
     margin = float(np.linalg.eigvalsh(problem.blocks(assignment))[:, 0].min())
     if not math.isfinite(margin):
@@ -173,7 +206,42 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False):
     return MarginSolution(
         margin=margin, assignment=assignment,
         iterations=int(iterations), status=status,
+        point=z, weight=float(weight),
     )
+
+
+def _anchor_length(symbols):
+    """Longest word length L whose words of lengths 1..L over `symbols`
+    symbols number at most :data:`_ANCHOR_WORDS` (at least 1).  One symbol
+    needs only L = 1: rho(A^k)^(1/k) = rho(A)."""
+    if symbols == 1:
+        return 1
+    length, total = 1, symbols
+    while total + symbols ** (length + 1) <= _ANCHOR_WORDS:
+        length += 1
+        total += symbols ** length
+    return length
+
+
+def _anchor(system):
+    """The bracket's lower end: the short-product lower bound on the joint
+    spectral radius of `system`."""
+    return product_growth(system, _anchor_length(len(system.alphabet)))[0]
+
+
+def _log_midpoint(lo, hi, anchor, tol):
+    """The next probe in (lo, hi), for lo >= anchor and hi - lo > tol.
+
+    The geometric mean of the distances of lo and hi above `anchor`, with
+    lo's floored at tol, or the plain midpoint when that is lower: each
+    probe halves log((hi - anchor) / max(lo - anchor, tol)) until the ratio
+    is small, then halves hi - lo.  The plain midpoint also stands in when
+    the geometric step rounds onto an end (its product underflows at tiny
+    rates).
+    """
+    mid = min(0.5 * (lo + hi),
+              anchor + math.sqrt(max(lo - anchor, tol) * (hi - anchor)))
+    return mid if lo < mid < hi else 0.5 * (lo + hi)
 
 
 @dataclass(eq=False)
@@ -182,10 +250,15 @@ class JsrBoundResult:
 
     trace lists every probed (rho, margin) pair in probe order; the bound
     is the smallest probed rho whose margin cleared the feasibility
-    threshold.  A trace margin is recomputed at the point where its probe
-    was decided: its sign against the threshold is the verdict, and it is
-    not the optimum.  certificate comes from a full solve at the bound,
-    re-verified, and its margin is that solve's optimum.
+    threshold, and it lies within `tolerance` of the largest infeasible
+    probe or, above every probe, of the short-product anchor, which is
+    infeasible without being probed.  A trace margin is recomputed at the
+    point where its probe was decided: its sign against the threshold is
+    the verdict, and it is not the optimum.  certificate comes from a full
+    solve at the bound, resumed from the point where the bound's probe
+    stopped, re-verified; its margin is within the central-path gap
+    K n mu_min (K blocks of order n, final barrier weight mu_min = 1e-10)
+    of the optimum.
     """
 
     rho_upper: float
@@ -205,18 +278,30 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
                     unknown_cap=None):
     """Bisect for the smallest rho whose margin program is feasible on `graph`.
 
-    Seeds: the largest single-mode spectral radius from below (no single
-    mode can be beaten), the largest single-mode 2-norm (padded 1%) from
-    above (a common identity certificate works there), floored at 1e-4 so
-    that tiny or zero modes start at a rate whose margin can clear the
+    Seeds: from below, the anchor, the largest rho(A_w)^(1/|w|) over all
+    words of up to L symbols, with L the longest length whose words number
+    at most :data:`_ANCHOR_WORDS` (8 for two modes, 5 for three, 1 for one
+    mode): no rate at or below the joint spectral radius can be certified,
+    so it needs no probe.  From above, the largest single-mode 2-norm
+    (padded 1%), where a common identity certificate works, floored at 1e-4
+    so that tiny or zero modes start at a rate whose margin can clear the
     feasibility threshold.  The upper seed is widened up to 8 times if its
-    probe is infeasible.  Raises NotPathCompleteError on graphs with
-    unreadable words unless `require_path_complete` is False, in which case
-    it warns and bounds only what the graph reads, and NumericalError when
-    the square of a probed rate overflows.
+    probe is infeasible.  Probes split the bracket in log scale above the
+    anchor (:func:`_log_midpoint`) until it is narrower than `tol`, so the
+    returned bound is within `tol` of the largest infeasible rate, probed or
+    the anchor.  The bound's probe is then solved in full, resumed from where
+    it stopped, for the certificate.
+
+    `unknown_cap` is checked first, and must be a positive integer.  Raises
+    NotPathCompleteError on graphs with unreadable words unless
+    `require_path_complete` is False, in which case it warns and bounds only
+    what the graph reads (the bracket still starts at the system's anchor),
+    and NumericalError when the square of a probed rate overflows.
     """
     if not math.isfinite(tol) or tol <= 0:
         raise ValueError("tol must be positive and finite")
+    cap = (DEFAULT_UNKNOWN_CAP if unknown_cap is None
+           else positive_cap(unknown_cap, "unknown cap"))
     witness = find_unreadable_word(graph)
     if witness is not None:
         if require_path_complete:
@@ -232,7 +317,7 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
     best = [None]
 
     def solved(problem, **options):
-        sol = solve_margin(problem, unknown_cap=unknown_cap, **options)
+        sol = solve_margin(problem, unknown_cap=cap, **options)
         if sol.status == "numerical-failure":
             raise NumericalError(
                 f"margin solve broke down at rate {problem.rho}"
@@ -248,12 +333,12 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
         trace.append((rho, float(sol.margin)))
         feasible = sol.margin > FEASIBILITY_THRESHOLD
         if feasible and (best[0] is None or rho < best[0][0]):
-            best[0] = (rho, problem)
+            best[0] = (rho, problem, sol)
         return feasible
 
-    modes = [system.modes[sym] for sym in system.alphabet]
-    lo = max(max(abs(np.linalg.eigvals(a))) for a in modes)
-    hi = max(1.01 * max(np.linalg.norm(a, 2) for a in modes), _SEED_FLOOR)
+    anchor = lo = _anchor(system)
+    hi = max(1.01 * max(np.linalg.norm(a, 2) for a in system.modes.values()),
+             _SEED_FLOOR)
 
     widened = 0
     while not probe(hi):
@@ -271,15 +356,16 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
         steps += 1
         if steps > _BISECT_LIMIT:
             raise NumericalError("bisection failed to narrow the bracket")
-        mid = 0.5 * (lo + hi)
+        mid = _log_midpoint(lo, hi, anchor, tol)
         if probe(mid):
             hi = mid
         else:
             lo = mid
 
-    # the probes only decided signs: certify the bound from a full solve
-    rho_upper, problem = best[0]
-    solution = solved(problem)
+    # the probes only decided signs: certify the bound from a full solve,
+    # resumed where the bound's probe stopped
+    rho_upper, problem, decided = best[0]
+    solution = solved(problem, start=decided)
     cert = QuadraticCertificate(graph, solution.assignment, rho_upper)
     report = verify_certificate(cert, system)
     if not report.ok:

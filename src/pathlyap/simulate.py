@@ -19,14 +19,10 @@ from .errors import (
     ResourceLimitError,
     state_cap,
 )
-from .lyapunov import evaluate_mblf
+from .lyapunov import evaluate_mblf, product_growth
 from .observer import ObserverGraph
 
 DEFAULT_SEED = 1729
-
-# growth rates this close (relatively) count as equal when picking witnesses,
-# so that eigensolves of similar products cannot steal a tie
-_TIE_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -62,22 +58,15 @@ def simulate(sys, word, x0):
     return Trajectory(states=states, word=word)
 
 
-def _word_at(index, length, alphabet):
-    n = len(alphabet)
-    symbols = []
-    for pos in range(length):
-        symbols.append(alphabet[(index // n ** (length - 1 - pos)) % n])
-    return tuple(symbols)
-
-
 def jsr_lower_bound(sys, max_len, cap=None):
     """Largest spectral-radius(A_w)^(1/|w|) over words with 1 <= |w| <= max_len.
 
-    Exhaustive: every product is formed (incrementally, newest mode on the
-    left) and eigensolved.  The witness is the shortest, then
-    lexicographically first (in alphabet order), word attaining the
-    maximum, reported in time order.  Raises ResourceLimitError when the
-    total word count would exceed the cap.
+    Exhaustive: every product is formed and eigensolved by
+    :func:`pathlyap.lyapunov.product_growth`, scaled so that no product
+    overflows or underflows.  The witness is the shortest, then lexicographically
+    first (in alphabet order), word attaining the maximum, reported in time
+    order.  Raises ResourceLimitError when the total word count would
+    exceed the cap.
     """
     max_len = int(max_len)
     if max_len < 1:
@@ -90,23 +79,7 @@ def jsr_lower_bound(sys, max_len, cap=None):
             f"enumerating {total} words, above the cap of {limit}"
         )
 
-    best = -math.inf
-    best_word = None
-    prev = np.eye(sys.dimension)[None]
-    for length in range(1, max_len + 1):
-        stacked = np.stack(
-            [np.matmul(sys.modes[s], prev) for s in sys.alphabet], axis=1
-        )
-        prev = stacked.reshape(-1, sys.dimension, sys.dimension)
-        radii = np.abs(np.linalg.eigvals(prev)).max(axis=1)
-        growth = radii ** (1.0 / length)
-        peak = float(growth.max())
-        tie = _TIE_TOL * max(1.0, abs(peak))
-        if peak > best + tie:
-            index = int(np.argmax(growth >= peak - tie))
-            best = peak
-            best_word = _word_at(index, length, sys.alphabet)
-    return best, best_word
+    return product_growth(sys, max_len)
 
 
 @dataclass(eq=False)

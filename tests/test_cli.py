@@ -7,6 +7,7 @@ from pathlyap.cli import run
 from pathlyap.fixtures import de_bruijn_1_graph, demo_system, mixed_horizon_graph
 from pathlyap.graphs import de_bruijn, dual
 from test_graphs import lonely_loop
+from test_simulate import huge_entry_system
 
 
 def write_json(tmp_path, name, data):
@@ -216,6 +217,22 @@ def test_jsr_lower(demo_files, capsys):
     out = capsys.readouterr().out
     assert "3.91738" in out
     assert "a,b" in out
+
+
+def test_jsr_lower_of_huge_modes(tmp_path, capsys):
+    system = write_json(tmp_path, "huge.json", huge_entry_system().to_json())
+    assert run(["jsr", "lower", "--system", system, "--max-len", "3",
+                "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rho_lower"] == pytest.approx(1e80, rel=1e-12)
+    assert payload["witness"] == ["a", "b"]
+
+
+def test_jsr_upper_checks_the_cap_before_the_graph(demo_files, capsys):
+    assert run(["jsr", "upper", "--graph", demo_files["lonely"],
+                "--system", demo_files["system"], "--cap", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown cap must be a positive integer, got -1" in err
 
 
 def test_certificate_verify_failure_exits_one(demo_files, tmp_path, capsys):

@@ -201,7 +201,7 @@ def one_block():
 
 def test_reaches_the_optimum():
     c0, d, z0 = one_block()
-    z, iterations, status = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
+    z, iterations, status, _ = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
     assert status == 0
     assert iterations > 0
     assert np.allclose(z, [0.0, 1.0], rtol=0.0, atol=1e-8)
@@ -211,7 +211,7 @@ def test_reaches_the_optimum():
 def test_infeasible_start_is_returned_untouched():
     c0, d, _ = one_block()
     z0 = np.array([0.0, 2.0])
-    z, iterations, status = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
+    z, iterations, status, _ = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
     assert np.array_equal(z, z0)
     assert (iterations, status) == (0, 2)
 
@@ -221,7 +221,7 @@ def test_non_finite_direction_fails(bad):
     c0, d, z0 = one_block()
     d[0, 0, 0, 1] = d[0, 0, 1, 0] = bad
     with np.errstate(invalid="ignore"):
-        _, _, status = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
+        _, _, status, _ = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
     assert status == 2
 
 
@@ -232,7 +232,7 @@ def test_non_finite_start_is_refused_before_newton(bad):
     c0, d, z0 = one_block()
     d[0, 0, 0, 1] = d[0, 0, 1, 0] = bad
     with np.errstate(invalid="ignore"):
-        z, iterations, status = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
+        z, iterations, status, _ = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
     assert np.array_equal(z, z0)
     assert (iterations, status) == (0, 2)
 
@@ -241,7 +241,7 @@ def test_newton_budget_exhausted():
     c0, d, z0 = one_block()
     settings = list(SETTINGS)
     settings[4] = 1
-    _, iterations, status = barrier_solve(c0, d, [[0, 1]], z0, *settings)
+    _, iterations, status, _ = barrier_solve(c0, d, [[0, 1]], z0, *settings)
     assert status == 1
     # one Newton step per barrier stage: mu runs 1, 0.2, ..., down to 1e-10
     assert iterations == 15
@@ -254,8 +254,8 @@ def test_newton_budget_exhausted():
 
 def test_feasible_exit_stops_once_the_margin_clears():
     c0, d, z0 = one_block()
-    _, full, _ = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
-    z, iterations, status = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS,
+    _, full, _, _ = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
+    z, iterations, status, _ = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS,
                                           decide=0.9)
     assert status == 0
     assert 0.9 < z[1] < 1.0
@@ -265,8 +265,8 @@ def test_feasible_exit_stops_once_the_margin_clears():
 def test_infeasible_exit_returns_a_centred_stage_end():
     c0, d, _ = one_block()
     z0 = np.array([0.5, -3.0])
-    _, full, _ = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
-    z, iterations, status = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS,
+    _, full, _, _ = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
+    z, iterations, status, _ = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS,
                                           decide=1.05)
     assert status == 0
     assert iterations < full
@@ -274,7 +274,7 @@ def test_infeasible_exit_returns_a_centred_stage_end():
     # exactly what a solve that stops after that stage returns
     settings = list(SETTINGS)
     settings[1] = 1.0
-    first_stage = barrier_solve(c0, d, [[0, 1]], z0, *settings)
+    first_stage = barrier_solve(c0, d, [[0, 1]], z0, *settings)[:3]
     assert np.array_equal(z, first_stage[0])
     assert (iterations, status) == first_stage[1:]
 
@@ -285,9 +285,24 @@ def test_unconverged_stage_decides_nothing():
     c0, d, _ = one_block()
     settings = list(SETTINGS)
     settings[4] = 1
-    z, _, _ = barrier_solve(c0, d, [[0, 1]], np.array([0.0, -10.0]),
+    z, _, _, _ = barrier_solve(c0, d, [[0, 1]], np.array([0.0, -10.0]),
                             *settings, decide=0.5)
     assert z[1] > 0.5
+
+
+def test_resume_from_a_decided_point_reaches_the_optimum():
+    c0, d, z0 = one_block()
+    _, full, _, weight = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
+    # mu runs 1, 0.2, ..., and the last stage at or above 1e-10 is 0.2^14
+    assert weight == pytest.approx(0.2 ** 14)
+    z, decided, _, mu = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS,
+                                      decide=0.9)
+    assert mu < 1.0
+    z, resumed, status, _ = barrier_solve(c0, d, [[0, 1]], z, mu,
+                                          *SETTINGS[1:])
+    assert status == 0
+    assert np.allclose(z, [0.0, 1.0], rtol=0.0, atol=1e-8)
+    assert decided + resumed <= full
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.99], ids=["at-rho", "below-rho"])

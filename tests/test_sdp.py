@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import margin_corpus
 from pathlyap.fixtures import demo_system
@@ -16,12 +18,14 @@ from pathlyap.lyapunov import (
     certificate_from_json,
     verify_certificate,
 )
+import pathlyap.sdp as sdp_module
 from pathlyap.sdp import (
     FEASIBILITY_THRESHOLD,
     MarginSolution,
     jsr_upper_bound,
     solve_margin,
 )
+from pathlyap.simulate import jsr_lower_bound
 from test_graphs import lonely_loop, mixed_horizon
 from test_kernels import wide_db2
 
@@ -138,6 +142,25 @@ def test_solution_bookkeeping():
     assert isinstance(sol.status, str)
 
 
+def test_resumed_solve_reaches_the_cold_optimum():
+    problem = assemble_lmi(de_bruijn(("a", "b"), 2), demo_system(), 3.92)
+    cold = solve_margin(problem)
+    probe = solve_margin(problem, sign_only=True)
+    assert probe.margin > FEASIBILITY_THRESHOLD
+    resumed = solve_margin(problem, start=probe)
+    assert resumed.status == "optimal"
+    assert resumed.iterations < cold.iterations
+    gap = len(problem.blocks(cold.assignment)) * problem.dimension * 1e-10
+    assert abs(resumed.margin - cold.margin) <= gap
+
+
+def test_resume_refuses_a_solution_of_another_problem():
+    small = solve_margin(loop_problem(1.0, [0.5 * np.eye(2)]))
+    problem = assemble_lmi(de_bruijn(("a", "b"), 2), demo_system(), 3.92)
+    with pytest.raises(ValueError, match="not a solution of this problem"):
+        solve_margin(problem, start=small)
+
+
 # ---------------------------------------------------------------------------
 # bisection upper bounds
 # ---------------------------------------------------------------------------
@@ -251,16 +274,99 @@ def test_sign_only_probes_change_no_bound(monkeypatch, case):
 
     full_solve = sdp_module.solve_margin
 
-    def full_probes(problem, unknown_cap=None, sign_only=False):
+    def full_probes(problem, unknown_cap=None, sign_only=False, start=None):
         return full_solve(problem, unknown_cap=unknown_cap)
 
     monkeypatch.setattr(sdp_module, "solve_margin", full_probes)
     slow = jsr_upper_bound(graph, system, tol=1e-4)
     assert [r for r, _ in fast.trace] == [r for r, _ in slow.trace]
     assert fast.rho_upper == slow.rho_upper
-    assert fast.certificate.margin == slow.certificate.margin
-    for node, matrix in slow.certificate.P.items():
-        assert np.array_equal(fast.certificate.P[node], matrix)
+    assert verify_certificate(fast.certificate, system).ok
+    assert verify_certificate(slow.certificate, system).ok
+    # the resumed and the cold full solve both end on the central path at
+    # mu_min = 1e-10, within the duality gap K n mu_min of the optimum
+    blocks = len(graph.nodes) + len(graph.edges)
+    gap = blocks * system.dimension * 1e-10
+    assert abs(fast.certificate.margin - slow.certificate.margin) <= gap
+
+
+# ---------------------------------------------------------------------------
+# the anchor and the log-scale search
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(
+    anchor=st.floats(0.0, 1e3),
+    below=st.floats(0.0, 1e2),
+    width=st.floats(1e-6, 1e2),
+    share=st.floats(1e-4, 0.99),
+    where=st.floats(0.0, 1.0),
+)
+# tol * (hi - anchor) underflows to 0 here, so the geometric step is anchor
+@example(anchor=0.0, below=0.0, width=1e-300, share=0.5, where=0.5)
+def test_log_midpoint_splits_the_bracket(anchor, below, width, share, where):
+    lo = anchor + below
+    hi = lo + width
+    tol = share * (hi - lo)
+    # a threshold rate inside the bracket decides every probe
+    threshold = lo + where * (hi - lo)
+    steps = 0
+    while hi - lo > tol:
+        steps += 1
+        assert steps <= sdp_module._BISECT_LIMIT
+        mid = sdp_module._log_midpoint(lo, hi, anchor, tol)
+        assert lo < mid < hi
+        if mid >= threshold:
+            hi = mid
+        else:
+            lo = mid
+
+
+@pytest.mark.parametrize("symbols, length", [(1, 1), (2, 8), (3, 5)])
+def test_anchor_length_stays_within_the_word_budget(symbols, length):
+    assert sdp_module._anchor_length(symbols) == length
+    if symbols > 1:
+        words = sum(symbols ** k for k in range(1, length + 2))
+        assert words > sdp_module._ANCHOR_WORDS
+
+
+@pytest.mark.parametrize("case", ["demo", "wide"])
+def test_anchor_is_the_short_product_lower_bound(case):
+    system = demo_system() if case == "demo" else wide_db2()[1]
+    length = sdp_module._anchor_length(len(system.alphabet))
+    assert sdp_module._anchor(system) == jsr_lower_bound(system, length)[0]
+
+
+def test_one_mode_anchor_enumerates_length_one(monkeypatch):
+    lengths = []
+    growth = sdp_module.product_growth
+
+    def recorded(system, max_len):
+        lengths.append(max_len)
+        return growth(system, max_len)
+
+    monkeypatch.setattr(sdp_module, "product_growth", recorded)
+    g = LabeledGraph(("a",), ("n",), [("n", "n", "a")])
+    sys = SwitchedLinearSystem(("a",), 2, {"a": rotation(0.4) * 0.8})
+    res = jsr_upper_bound(g, sys, tol=1e-3)
+    assert lengths == [1]
+    assert 0.8 < res.rho_upper <= 0.8 + 1e-3
+
+
+def test_anchored_bound_on_demo_de_bruijn_2():
+    system = demo_system()
+    tol = 1e-4
+    res = jsr_upper_bound(de_bruijn(("a", "b"), 2), system, tol=tol)
+    assert len(res.trace) <= 8
+    assert verify_certificate(res.certificate, system).ok
+    anchor = sdp_module._anchor(system)
+    infeasible = [r for r, t in res.trace if t <= FEASIBILITY_THRESHOLD]
+    assert res.rho_upper - max(infeasible + [anchor]) <= tol
+
+
+def test_jsr_checks_the_unknown_cap_first():
+    with pytest.raises(ValueError, match="unknown cap must be a positive"):
+        jsr_upper_bound(lonely_loop(), demo_system(), unknown_cap=-1)
 
 
 def test_jsr_rejects_bad_tolerance():

@@ -131,6 +131,52 @@ def test_lower_bound_rejects_bad_length():
         jsr_lower_bound(demo_system(), 0)
 
 
+def huge_entry_system():
+    """ab and ba have spectral radius 1e160 (growth 1e80); the product aba
+    has an entry of 1e320, which overflows unless the modes are scaled."""
+    return SwitchedLinearSystem(("a", "b"), 2, {
+        "a": np.array([[0.0, 1e160], [0.0, 0.0]]),
+        "b": np.array([[0.0, 0.0], [1.0, 0.0]]),
+    })
+
+
+def huge_norm_system():
+    """One triangular mode with spectral radius 0.5 and a 2-norm of about
+    2.1e308, past the float range."""
+    a = 0.5 * np.eye(3)
+    a[0, 1:] = 1.5e308
+    return SwitchedLinearSystem(("a",), 3, {"a": a})
+
+
+def mixed_scale_system():
+    """The demo modes on the first two coordinates beside a mode with one
+    entry of 1e300 whose products with them are nilpotent: scaled by that
+    entry, the demo products would underflow to zero."""
+    modes = {s: np.zeros((3, 3)) for s in ("a", "b", "c")}
+    for s, m in demo_system().modes.items():
+        modes[s][:2, :2] = m
+    modes["c"][0, 2] = 1e300
+    return SwitchedLinearSystem(("a", "b", "c"), 3, modes)
+
+
+def doubling_system():
+    """A^k = 2^(k-1) A, so a power of about 1025 passes the float range."""
+    return SwitchedLinearSystem(("a",), 2, {"a": np.ones((2, 2))})
+
+
+@pytest.mark.parametrize("system, length, rho, witness", [
+    (huge_entry_system, 3, 1e80, ("a", "b")),
+    (huge_norm_system, 3, 0.5, ("a",)),
+    (mixed_scale_system, 3, LEN2_GROWTH, ("a", "b")),
+    (doubling_system, 1100, 2.0, ("a",)),
+], ids=["huge-entry", "huge-norm", "mixed-scale", "long-power"])
+def test_lower_bound_of_modes_at_extreme_scales(system, length, rho, witness):
+    got, word = jsr_lower_bound(system(), length)
+    # the scaled diagonal of huge-norm is subnormal, with about 15 digits
+    assert got == pytest.approx(rho, rel=1e-12)
+    assert word == witness
+
+
 # ---------------------------------------------------------------------------
 # empirical decrease checks
 # ---------------------------------------------------------------------------
