@@ -26,15 +26,19 @@ it as ``decide``, and the solve stops once that sign is certified.  The
 feasible exit comes after any accepted Newton step with ``z[-1] > decide``:
 the step's Cholesky factorization succeeded, so every block dominates
 ``z[-1] I`` there.  The infeasible exit comes at the end of a stage whose
-centering converged, with ``z[-1] + N mu < decide``: a centred point of
-barrier weight mu is within the duality gap ``N mu`` of the optimum, with
+Newton decrement converged, with ``z[-1] + N mu < decide``: a centred point
+of barrier weight mu is within the duality gap ``N mu`` of the optimum, with
 ``N = K n`` the total order of the blocks (Vandenberghe & Boyd, Semidefinite
-Programming, SIAM Review 1996).
+Programming, SIAM Review 1996).  A stage that ends because the line search
+stalled is not centred, so it decides nothing; this matters for a solve
+that starts off the central path at a small weight.
 
 The solve returns the barrier weight of the stage it stopped in, so a
-later solve of the same blocks can resume from its point: that point is
+later solve can resume from its point: for the same blocks that point is
 strictly feasible (its Cholesky factorization succeeded), so it needs no
 back-off, and starting at its weight skips the stages already walked.
+:func:`pathlyap.sdp.solve_margin` also shifts such a point to start a
+problem at a nearby rate.
 Wherever it starts, a solve that converges at its last stage ends within
 ``N mu`` of the optimum for that stage's weight mu, the last at or above
 ``mu_min``.
@@ -73,8 +77,9 @@ def barrier_solve(c0, local, index, z0, mu0, mu_min, mu_shrink, newton_tol,
 
     With `decide` set, the solve stops as soon as the sign of z[-1] - decide
     at the optimum is certified: after an accepted step with z[-1] > decide
-    (feasible), or at the end of a converged stage with z[-1] + K n mu <
-    decide (infeasible).  Either exit returns status 0.
+    (feasible), or at the end of a stage whose Newton decrement converged
+    with z[-1] + K n mu < decide (infeasible); a stage ended by a stalled
+    line search decides nothing.  Either exit returns status 0.
     """
     count, width, n, _ = local.shape
     m1 = len(z0)
@@ -103,7 +108,8 @@ def barrier_solve(c0, local, index, z0, mu0, mu_min, mu_shrink, newton_tol,
     mu = stage = mu0
     while mu >= mu_min:
         stage = mu
-        converged = False
+        # converged ends the stage; centred only when the decrement did
+        converged = centred = False
         for _ in range(max_newton):
             iterations += 1
             # E[k, j] = L_k^-1 local[k, j] L_k^-T, flattened to (K, w, n n)
@@ -124,7 +130,7 @@ def barrier_solve(c0, local, index, z0, mu0, mu_min, mu_shrink, newton_tol,
                 return z, iterations, 2, mu
             decrement = -(grad @ step)
             if decrement <= 2.0 * newton_tol:
-                converged = True
+                converged = centred = True
                 break
             ds = along(step)
             alpha = 1.0
@@ -140,13 +146,14 @@ def barrier_solve(c0, local, index, z0, mu0, mu_min, mu_shrink, newton_tol,
                     break
                 alpha *= step_shrink
             if not moved:
-                # no float-representable step improves f: stationary enough
+                # no float-representable step improves f: stationary
+                # enough to end the stage, but not a certified centred point
                 converged = True
                 break
             if decide is not None and z[-1] > decide:
                 return z, iterations, 0, mu
         status = 0 if converged else 1
-        if decide is not None and converged and z[-1] + gap * mu < decide:
+        if decide is not None and centred and z[-1] + gap * mu < decide:
             return z, iterations, 0, mu
         mu *= mu_shrink
     return z, iterations, status, stage

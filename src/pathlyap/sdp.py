@@ -25,10 +25,15 @@ the anchor (:func:`_log_midpoint`), so a bound that sits on a short product
 takes a handful of probes.  Bisection reads only the sign of each probe's
 margin, so its probes run ``solve_margin`` in sign-only mode, which stops
 each solve once the kernel has certified which side of
-:data:`FEASIBILITY_THRESHOLD` the optimum lies on.  The smallest feasible
-probe is then solved once more in full, resumed from the point and barrier
-weight where its probe stopped, and the certificate comes from that solve;
-its margin is within the central-path gap K n mu_min of the optimum.
+:data:`FEASIBILITY_THRESHOLD` the optimum lies on.  Every probe after the
+first resumes from the earlier probe nearest to it in rate: it starts at
+that probe's point and barrier weight, with the margin unknown lowered just
+enough to be strictly feasible at the new rate, so it skips the stages of
+the central path that probe already walked (``solve_margin``'s `start`).
+A start moves where a probe is decided, not what it decides.  The smallest
+feasible probe is then solved once more in full, resumed the same way from
+its own probe, and the certificate comes from that solve; its margin is
+within the central-path gap K n mu_min of the optimum.
 """
 
 import math
@@ -73,9 +78,10 @@ class MarginSolution:
     returned assignment (so it is meaningful even when status says the
     optimizer gave up early).  status is one of "optimal",
     "max-iterations", "numerical-failure".  point is the kernel's unknown
-    vector (each node's z, then t) and weight the barrier weight of the
-    stage the kernel stopped in; passed as `start=` to another solve of the
-    same problem, they resume the barrier path there.
+    vector (each node's z, then t), weight the barrier weight of the stage
+    the kernel stopped in and rho the rate the problem was posed at; passed
+    as `start=` to another solve on the same graph, at this rate or another,
+    they resume the barrier path there.
     """
 
     margin: float
@@ -84,6 +90,7 @@ class MarginSolution:
     status: str
     point: np.ndarray = None
     weight: float = None
+    rho: float = None
 
 
 def _trace_zero_basis(n):
@@ -127,10 +134,18 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False, start=None):
     its sign against the threshold is the verdict but its value is not the
     optimum.  A solve that no stage decides runs to the end.
 
-    `start`, a :class:`MarginSolution` of the same problem, starts the
-    kernel at that solution's point and barrier weight instead of at the
-    identity assignment and weight 1.  Its point passed a Cholesky
-    factorization of every block, so it is strictly feasible as it stands.
+    `start`, a :class:`MarginSolution` on the same graph and system at
+    any rate rho_s, starts the kernel at that solution's point and barrier
+    weight instead of at the identity assignment and weight 1.  Its point
+    passed a Cholesky factorization of every block at rho_s.  At the new
+    rate a node block P_s - t I is unchanged and an edge block changes by
+    exactly (rho^2 - rho_s^2) P_r, so lowering t by
+    |rho^2 - rho_s^2| max_s ||P_s||_2 keeps every block strictly positive
+    definite, also where P_r is indefinite (t < 0).  At the same rate the
+    shift is zero and the solve resumes the start's path as it stands.  A
+    start does not change what a verdict rests on: the feasible exit is a
+    Cholesky factorization of the new blocks, the infeasible exit a
+    converged stage end of the new problem, and the margin is recomputed.
     """
     cap = (DEFAULT_UNKNOWN_CAP if unknown_cap is None
            else positive_cap(unknown_cap, "unknown cap"))
@@ -172,10 +187,16 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False, start=None):
         # boundary
         z0[m1 - 1] = worst - 0.5 * (1.0 + abs(worst))
         mu0 = 1.0
-    elif start.point is None or start.point.shape != (m1,):
+    elif (start.point is None or start.rho is None
+          or start.point.shape != (m1,)):
         raise ValueError("start is not a solution of this problem")
     else:
-        z0, mu0 = start.point, start.weight
+        z0, mu0 = start.point.copy(), start.weight
+        change = abs(float(problem.rho) ** 2 - float(start.rho) ** 2)
+        if change:
+            held = np.eye(n) + np.tensordot(z0[:-1].reshape(nodes, p), basis,
+                                            axes=1)
+            z0[-1] -= change * np.abs(np.linalg.eigvalsh(held)).max()
 
     z, iterations, code, weight = barrier_solve(
         c0, local, index, z0,
@@ -198,7 +219,7 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False, start=None):
         return MarginSolution(
             margin=float("nan"), assignment=assignment,
             iterations=int(iterations), status="numerical-failure",
-            point=z, weight=float(weight),
+            point=z, weight=float(weight), rho=float(problem.rho),
         )
     margin = float(np.linalg.eigvalsh(problem.blocks(assignment))[:, 0].min())
     if not math.isfinite(margin):
@@ -206,7 +227,7 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False, start=None):
     return MarginSolution(
         margin=margin, assignment=assignment,
         iterations=int(iterations), status=status,
-        point=z, weight=float(weight),
+        point=z, weight=float(weight), rho=float(problem.rho),
     )
 
 
@@ -253,8 +274,9 @@ class JsrBoundResult:
     threshold, and it lies within `tolerance` of the largest infeasible
     probe or, above every probe, of the short-product anchor, which is
     infeasible without being probed.  A trace margin is recomputed at the
-    point where its probe was decided: its sign against the threshold is
-    the verdict, and it is not the optimum.  certificate comes from a full
+    point where its probe was decided, which depends on the earlier probe
+    it resumed from: its sign against the threshold is the verdict, and it
+    is not the optimum.  certificate comes from a full
     solve at the bound, resumed from the point where the bound's probe
     stopped, re-verified; its margin is within the central-path gap
     K n mu_min (K blocks of order n, final barrier weight mu_min = 1e-10)
@@ -289,8 +311,11 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
     probe is infeasible.  Probes split the bracket in log scale above the
     anchor (:func:`_log_midpoint`) until it is narrower than `tol`, so the
     returned bound is within `tol` of the largest infeasible rate, probed or
-    the anchor.  The bound's probe is then solved in full, resumed from where
-    it stopped, for the certificate.
+    the anchor.  Each probe after the first starts from the earlier probe
+    nearest in rate (`start=` of :func:`solve_margin`), or from the cold
+    start if the kernel refuses that shifted point, which only rounding can
+    cause.  The bound's probe is then solved in full, resumed from where it
+    stopped, for the certificate.
 
     `unknown_cap` is checked first, and must be a positive integer.  Raises
     NotPathCompleteError on graphs with unreadable words unless
@@ -314,10 +339,17 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
         )
 
     trace = []
+    decided = []
     best = [None]
 
-    def solved(problem, **options):
-        sol = solve_margin(problem, unknown_cap=cap, **options)
+    def solved(problem, start, sign_only=False):
+        sol = solve_margin(problem, unknown_cap=cap, sign_only=sign_only,
+                           start=start)
+        if (start is not None and sol.status == "numerical-failure"
+                and sol.iterations == 0):
+            # the kernel refused the shifted start, which only rounding can
+            # cause: solve from the cold start instead
+            sol = solve_margin(problem, unknown_cap=cap, sign_only=sign_only)
         if sol.status == "numerical-failure":
             raise NumericalError(
                 f"margin solve broke down at rate {problem.rho}"
@@ -329,7 +361,10 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
         if not math.isfinite(rho * rho):
             raise NumericalError(f"rate {rho} squared overflows")
         problem = assemble_lmi(graph, system, rho)
-        sol = solved(problem, sign_only=True)
+        # resume from the earlier probe nearest in rate
+        start = min(decided, key=lambda s: abs(s.rho - rho), default=None)
+        sol = solved(problem, start, sign_only=True)
+        decided.append(sol)
         trace.append((rho, float(sol.margin)))
         feasible = sol.margin > FEASIBILITY_THRESHOLD
         if feasible and (best[0] is None or rho < best[0][0]):
@@ -364,8 +399,8 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
 
     # the probes only decided signs: certify the bound from a full solve,
     # resumed where the bound's probe stopped
-    rho_upper, problem, decided = best[0]
-    solution = solved(problem, start=decided)
+    rho_upper, problem, bound_probe = best[0]
+    solution = solved(problem, bound_probe)
     cert = QuadraticCertificate(graph, solution.assignment, rho_upper)
     report = verify_certificate(cert, system)
     if not report.ok:

@@ -290,6 +290,22 @@ def test_unconverged_stage_decides_nothing():
     assert z[1] > 0.5
 
 
+def test_stalled_line_search_decides_nothing():
+    # with min_step > 1 no step is ever tried, so every stage after the
+    # first (where z0 is centred) ends on a stall at z0 = (0, -1), whose
+    # t + K n mu falls below decide from mu = 0.2 on; the optimum t = 1 is
+    # above decide, so a stalled stage end must not give a verdict
+    c0, d, z0 = one_block()
+    settings = list(SETTINGS)
+    settings[7] = 2.0
+    z, iterations, status, mu = barrier_solve(c0, d, [[0, 1]], z0, *settings,
+                                              decide=0.5)
+    assert np.array_equal(z, z0)
+    # no exit: one Newton step in each of the 15 stages, down to the last
+    assert iterations == 15
+    assert mu == pytest.approx(0.2 ** 14)
+
+
 def test_resume_from_a_decided_point_reaches_the_optimum():
     c0, d, z0 = one_block()
     _, full, _, weight = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from conftest import margin_corpus
 from pathlyap.fixtures import demo_system
 from oracles import grid_margin_2x2
 from pathlyap.errors import (
+    DEFAULT_UNKNOWN_CAP,
     NotPathCompleteError,
     NumericalError,
     ResourceLimitError,
@@ -161,6 +164,74 @@ def test_resume_refuses_a_solution_of_another_problem():
         solve_margin(problem, start=small)
 
 
+def test_start_without_a_rate_is_refused():
+    problem = assemble_lmi(de_bruijn(("a", "b"), 2), demo_system(), 3.92)
+    probe = solve_margin(problem, sign_only=True)
+    with pytest.raises(ValueError, match="not a solution of this problem"):
+        solve_margin(problem, start=dataclasses.replace(probe, rho=None))
+
+
+def record_kernel_calls(monkeypatch):
+    """Wrap the kernel so that each call's start point, start weight and
+    Newton iterations are kept."""
+    calls = []
+    kernel = sdp_module.barrier_solve
+
+    def recording(c0, local, index, z0, mu0, *rest, **options):
+        start = z0.copy()
+        result = kernel(c0, local, index, z0, mu0, *rest, **options)
+        calls.append((start, mu0, result[1]))
+        return result
+
+    monkeypatch.setattr(sdp_module, "barrier_solve", recording)
+    return calls
+
+
+def test_start_at_the_same_rate_resumes_the_probe_as_it_stands(monkeypatch):
+    problem = assemble_lmi(de_bruijn(("a", "b"), 2), demo_system(), 3.92)
+    probe = solve_margin(problem, sign_only=True)
+    point = probe.point.copy()
+    calls = record_kernel_calls(monkeypatch)
+    solve_margin(problem, start=probe)
+    ((z0, mu0, _),) = calls
+    assert np.array_equal(z0, point)
+    assert mu0 == probe.weight
+    assert np.array_equal(probe.point, point)
+
+
+# the demo system's joint spectral radius is about 3.9174 and the wide
+# system's order-2 bound about 0.7019: the lower start rate is infeasible
+@pytest.mark.parametrize("case, rho, other", [
+    ("demo-db2", 3.92, 3.95),
+    ("demo-db2", 3.92, 3.90),
+    ("wide-db2", 0.703, 0.71),
+    ("wide-db2", 0.703, 0.69),
+])
+def test_start_at_another_rate_reaches_the_cold_optimum(monkeypatch, case,
+                                                        rho, other):
+    if case == "demo-db2":
+        graph, system = de_bruijn(("a", "b"), 2), demo_system()
+    else:
+        graph, system, _ = wide_db2()
+    problem = assemble_lmi(graph, system, rho)
+    cold = solve_margin(problem)
+    start = solve_margin(assemble_lmi(graph, system, other), sign_only=True)
+    assert (start.margin > 0) == (other > rho)
+    calls = record_kernel_calls(monkeypatch)
+    warm = solve_margin(problem, start=start)
+    # the shifted start is strictly feasible at the new rate: every block
+    # of the start's P dominates the lowered t, and the kernel accepted it
+    ((z0, mu0, _),) = calls
+    assert np.array_equal(z0[:-1], start.point[:-1])
+    assert mu0 == start.weight
+    blocks = problem.blocks(start.assignment)
+    assert np.linalg.eigvalsh(blocks)[:, 0].min() > z0[-1]
+    assert warm.iterations > 0
+    assert warm.status == "optimal"
+    gap = len(problem.blocks(cold.assignment)) * problem.dimension * 1e-10
+    assert abs(warm.margin - cold.margin) <= gap
+
+
 # ---------------------------------------------------------------------------
 # bisection upper bounds
 # ---------------------------------------------------------------------------
@@ -288,6 +359,88 @@ def test_sign_only_probes_change_no_bound(monkeypatch, case):
     blocks = len(graph.nodes) + len(graph.edges)
     gap = blocks * system.dimension * 1e-10
     assert abs(fast.certificate.margin - slow.certificate.margin) <= gap
+
+
+def cold_probes(monkeypatch):
+    """Patch solve_margin so that every sign-only probe starts cold; the
+    full solve at the bound keeps its start."""
+    solve = sdp_module.solve_margin
+
+    def cold(problem, unknown_cap=None, sign_only=False, start=None):
+        return solve(problem, unknown_cap=unknown_cap, sign_only=sign_only,
+                     start=None if sign_only else start)
+
+    monkeypatch.setattr(sdp_module, "solve_margin", cold)
+
+
+def random_bound_case(seed):
+    """A seeded system of 2 or 3 modes of order 2 or 3 with standard normal
+    entries, on a De Bruijn graph of order 1 to 3 within the default cap of
+    unknowns."""
+    rng = np.random.default_rng(seed)
+    symbols = ("a", "b", "c")[:int(rng.integers(2, 4))]
+    n = int(rng.integers(2, 4))
+    per_node = n * (n + 1) // 2 - 1
+    orders = [k for k in (1, 2, 3)
+              if len(symbols) ** k * per_node + 1 <= DEFAULT_UNKNOWN_CAP]
+    system = SwitchedLinearSystem(
+        symbols, n, {h: rng.normal(size=(n, n)) for h in symbols}
+    )
+    return de_bruijn(symbols, int(rng.choice(orders))), system
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_warm_probes_change_no_bound(monkeypatch, seed):
+    graph, system = random_bound_case(seed)
+    warm = jsr_upper_bound(graph, system, tol=1e-4)
+    assert verify_certificate(warm.certificate, system).ok
+    cold_probes(monkeypatch)
+    cold = jsr_upper_bound(graph, system, tol=1e-4)
+    assert [r for r, _ in warm.trace] == [r for r, _ in cold.trace]
+    assert warm.rho_upper == cold.rho_upper
+
+
+@pytest.mark.parametrize("case", ["demo-db1", "wide-db1"])
+def test_warm_probes_take_fewer_newton_steps(monkeypatch, case):
+    if case == "demo-db1":
+        graph, system = de_bruijn(("a", "b"), 1), demo_system()
+    else:
+        _, system, _ = wide_db2()
+        graph = de_bruijn(("a", "b", "c"), 1)
+    calls = record_kernel_calls(monkeypatch)
+    jsr_upper_bound(graph, system, tol=1e-4)
+    warm = sum(steps for _, _, steps in calls)
+    calls.clear()
+    cold_probes(monkeypatch)
+    jsr_upper_bound(graph, system, tol=1e-4)
+    assert warm <= 0.6 * sum(steps for _, _, steps in calls)
+
+
+def test_refused_start_falls_back_to_the_cold_start(monkeypatch):
+    graph, system = de_bruijn(("a", "b"), 1), demo_system()
+    warm = jsr_upper_bound(graph, system, tol=1e-4)
+    solve = sdp_module.solve_margin
+    refused = []
+
+    def corrupting(problem, unknown_cap=None, sign_only=False, start=None):
+        if start is None:
+            return solve(problem, unknown_cap=unknown_cap,
+                         sign_only=sign_only)
+        # a margin far above every block's eigenvalues: no block is PD
+        point = start.point.copy()
+        point[-1] += 1e3
+        sol = solve(problem, unknown_cap=unknown_cap, sign_only=sign_only,
+                    start=dataclasses.replace(start, point=point))
+        refused.append((sol.status, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(sdp_module, "solve_margin", corrupting)
+    result = jsr_upper_bound(graph, system, tol=1e-4)
+    # every probe after the first and the full solve were refused
+    assert refused == [("numerical-failure", 0)] * len(warm.trace)
+    assert [r for r, _ in result.trace] == [r for r, _ in warm.trace]
+    assert result.rho_upper == warm.rho_upper
+    assert verify_certificate(result.certificate, system).ok
 
 
 # ---------------------------------------------------------------------------
