@@ -8,9 +8,18 @@ symbol h yields (h,) + word).  All constructions are epsilon-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_
 
 from .errors import DEFAULT_DETERMINIZE_CAP, state_cap
-from .graphs import LabeledGraph, _explore_subsets, _word_to, dual, graph_from_json
+from .graphs import (
+    LabeledGraph,
+    _explore_subsets,
+    _node_mask,
+    _successor_steps,
+    _word_to,
+    dual,
+    graph_from_json,
+)
 
 __all__ = [
     "Automaton",
@@ -141,14 +150,20 @@ def prepend_symbol(h: str, a: Automaton) -> Automaton:
     return Automaton(graph, frozenset({start}), a.accepting)
 
 
-def union_automaton(parts) -> Automaton:
-    """Disjoint union recognizing the union of the parts' languages."""
-    parts = list(parts)
+def _common_alphabet(parts):
+    """The alphabet shared by a nonempty sequence of automata."""
     if not parts:
         raise ValueError("union of zero automata")
     alphabet = parts[0].graph.alphabet
     if any(p.graph.alphabet != alphabet for p in parts):
         raise ValueError("union members must share one alphabet")
+    return alphabet
+
+
+def union_automaton(parts) -> Automaton:
+    """Disjoint union recognizing the union of the parts' languages."""
+    parts = list(parts)
+    alphabet = _common_alphabet(parts)
     nodes, edges, initial, accepting = [], [], set(), set()
     for i, p in enumerate(parts):
         rename = {v: f"{i}:{v}" for v in p.graph.nodes}
@@ -160,48 +175,50 @@ def union_automaton(parts) -> Automaton:
     return Automaton(graph, frozenset(initial), frozenset(accepting))
 
 
-def _tagged_union(parts):
-    """Disjoint union of `parts` as (out, finals): node v of part k becomes
-    (k, v), `out` maps (tagged node, symbol) to tagged successors, and
-    `finals[k]` is part k's accepting set.  Initial states are left to the
-    caller, which may start a part anywhere."""
-    out = {}
-    for k, p in enumerate(parts):
-        for src, dst, sym in p.graph.edges:
-            out.setdefault(((k, src), sym), []).append((k, dst))
-    finals = [frozenset((k, v) for v in p.accepting) for k, p in enumerate(parts)]
-    return out, finals
+def _parts(automata):
+    """The automata as `_explore_subsets` parts: (steps, start, finals),
+    with each part's successor steps, its initial set as the start mask and
+    its accepting set as a mask."""
+    steps = _successor_steps([a.graph for a in automata])
+    start = tuple(_node_mask(a.graph, a.initial) for a in automata)
+    finals = [_node_mask(a.graph, a.accepting) for a in automata]
+    return steps, start, finals
 
 
 def language_includes(sub: Automaton, sup: Automaton, cap=None) -> bool:
     """True iff L(sub) ⊆ L(sup).
 
-    One `_explore_subsets` run over the tagged union of sub and sup from
-    both initial sets, stopping at the first subset where sub accepts and
-    sup rejects.  The cap bounds the subsets of that joint exploration.
+    One `_explore_subsets` run over two parts, sub and sup, each from its
+    initial set, stopping at the first state where sub accepts and sup
+    rejects.  The cap bounds the states of that joint exploration.
     """
     if sub.graph.alphabet != sup.graph.alphabet:
         raise ValueError("inclusion requires a common alphabet")
-    out, (sub_final, sup_final) = _tagged_union([sub, sup])
-    start = frozenset((0, v) for v in sub.initial) | frozenset(
-        (1, v) for v in sup.initial
-    )
-    _, _, hit = _explore_subsets(
-        out, sub.graph.alphabet, start, state_cap(cap, DEFAULT_DETERMINIZE_CAP),
-        lambda s: not sub_final.isdisjoint(s) and sup_final.isdisjoint(s),
+    steps, start, (sub_final, sup_final) = _parts([sub, sup])
+    _, hit = _explore_subsets(
+        sub.graph.alphabet, steps, start,
+        state_cap(cap, DEFAULT_DETERMINIZE_CAP),
+        lambda s: s[0] & sub_final and not s[1] & sup_final,
     )
     return hit is None
 
 
-def universality_witness(a: Automaton, cap=None):
+def universality_witness(a, cap=None):
     """Shortest word outside L(a), or None when L(a) = S*.
 
-    Ties broken lexicographically in alphabet order: `_explore_subsets`
-    stops at the first subset with no accepting state.
+    `a` is an automaton, or a nonempty sequence of automata over one
+    alphabet standing for their union.  Each automaton is one part of a
+    single `_explore_subsets` run from its initial set; the run stops at
+    the first state where no part holds an accepting node.  Ties are broken
+    lexicographically in alphabet order.  The cap bounds the states of that
+    run, exactly as it bounds the subsets of `union_automaton(a)`.
     """
-    parent, _, hit = _explore_subsets(
-        a.graph.out_map(), a.graph.alphabet, frozenset(a.initial),
-        state_cap(cap, DEFAULT_DETERMINIZE_CAP), a.accepting.isdisjoint,
+    automata = [a] if isinstance(a, Automaton) else list(a)
+    steps, start, finals = _parts(automata)
+    parent, hit = _explore_subsets(
+        _common_alphabet(automata), steps, start,
+        state_cap(cap, DEFAULT_DETERMINIZE_CAP),
+        lambda s: not any(map(and_, s, finals)),
     )
     return None if hit is None else _word_to(parent, hit)[::-1]
 

@@ -10,20 +10,26 @@ each other on the observer's node languages.
 """
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_
 
 from .automata import (
     Automaton,
     PrefixClass,
-    _tagged_union,
+    _parts,
     automaton_from_json,
     language_includes,  # unused here; perfbench/tracing.py wraps this name
-    language_of_observer_node,
     prefix_class_automaton,
-    union_automaton,
     universality_witness,
 )
 from .errors import DEFAULT_DETERMINIZE_CAP, state_cap
-from .graphs import LabeledGraph, _explore_subsets, _word_name
+from .graphs import (
+    LabeledGraph,
+    _explore_subsets,
+    _members,
+    _word_name,
+    dual,
+)
 from .observer import ObserverGraph, observer_graph
 
 
@@ -129,33 +135,32 @@ def _edge_table(c, cap=None):
     prepended language.
 
     By the left quotient, h·L(B) ⊆ L(C) iff C started from its h-successors
-    accepts every word of L(B).  One `_explore_subsets` run per symbol h,
-    over the members (part k) and the h-stepped members (part n + k),
-    decides every pair: in each reachable subset, a source whose part
-    accepts keeps only the targets whose stepped part accepts too.
+    accepts every word of L(B).  One `_explore_subsets` run per symbol h
+    over 2n parts, the members (part k) and the h-stepped members (part
+    n + k), decides every pair: in each reachable state, a source whose
+    part accepts keeps only the targets whose stepped part accepts too.
+    Members on equal graphs share one successor memo.
     """
     limit = state_cap(cap, DEFAULT_DETERMINIZE_CAP)
     names = [m.name for m in c.members]
     n = len(names)
-    out, finals = _tagged_union([m.automaton for m in c.members] * 2)
-    final = frozenset().union(*finals)
-    initial = frozenset(
-        (k, v) for k, m in enumerate(c.members) for v in m.automaton.initial
-    )
+    steps, initial, finals = _parts([m.automaton for m in c.members])
+    bits = [1 << k for k in range(n)]
     kept = {}
-    for h in c.alphabet:
-        stepped = {q for k, v in initial for q in out.get(((n + k, v), h), ())}
-        parent, _, _ = _explore_subsets(out, c.alphabet, initial | stepped, limit)
-        targets = [set(range(n)) for _ in names]
-        for subset in parent:
-            tags = {node[0] for node in subset & final}
-            inside = {k - n for k in tags if k >= n}
-            for k in tags:
-                if k < n:
-                    targets[k] &= inside
+    for i, h in enumerate(c.alphabet):
+        stepped = tuple(part[i][mask] for part, mask in zip(steps, initial))
+        parent, _ = _explore_subsets(
+            c.alphabet, steps * 2, initial + stepped, limit
+        )
+        # targets[k] has bit t while member t may still contain h·L(k)
+        targets = [(1 << n) - 1] * n
+        for state in parent:
+            inside = sum(compress(bits, map(and_, state[n:], finals)))
+            for k in compress(range(n), map(and_, state, finals)):
+                targets[k] &= inside
         kept[h] = targets
     return {
-        (names[k], h): tuple(names[t] for t in range(n) if t in kept[h][k])
+        (names[k], h): tuple(_members(names, kept[h][k]))
         for k in range(n)
         for h in c.alphabet
     }
@@ -163,9 +168,7 @@ def _edge_table(c, cap=None):
 
 def _validate_with_table(c, cap=None):
     """validate_covering's report together with the edge table it built."""
-    witness = universality_witness(
-        union_automaton([m.automaton for m in c.members]), cap=cap
-    )
+    witness = universality_witness([m.automaton for m in c.members], cap=cap)
     table = _edge_table(c, cap=cap)
     unclosed = tuple(
         pair for pair, targets in table.items() if not targets
@@ -216,13 +219,17 @@ def observer_to_covering(g, cap=None):
     """Covering family made of the observer's node languages.
 
     Accepts either a path-complete base graph (determinized here) or an
-    already built ObserverGraph.  Member names are the observer node ids,
-    so translating back to a graph reproduces the observer graph itself,
-    node names included.
+    already built ObserverGraph.  Each member is the automaton that
+    `language_of_observer_node` builds, but all members share one dual
+    graph, so the family's subset explorations share one successor memo.
+    Member names are the observer node ids, so translating back to a graph
+    reproduces the observer graph itself, node names included.
     """
     obs = g if isinstance(g, ObserverGraph) else observer_graph(g, cap=cap)
+    back = dual(obs.graph)
+    root = frozenset({obs.root})
     members = tuple(
-        CoveringMember(node, language_of_observer_node(obs, node))
+        CoveringMember(node, Automaton(back, frozenset({node}), root))
         for node in obs.graph.nodes
     )
     return CoveringFamily(obs.graph.alphabet, members)

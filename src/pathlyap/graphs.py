@@ -147,51 +147,113 @@ def de_bruijn(alphabet, order: int) -> LabeledGraph:
     return LabeledGraph(alphabet, tuple(name[w] for w in words), edges)
 
 
-def _explore_subsets(out, alphabet, start, limit, stop=None):
-    """Breadth-first subset construction from the subset `start`.
+class _Step(dict):
+    """One graph's successors under one symbol, memoized on node masks.
 
-    `out` maps (node, symbol) to successor nodes.  Each symbol maps a subset
-    to the union of its members' successors; symbols are tried in alphabet
-    order, so the parent links spell the shortest word reaching each subset,
-    ties broken lexicographically.  Exploration ends at the first subset
-    (start included) for which `stop` holds; that subset is not counted
-    against `limit`.  Raises ResourceLimitError when more than `limit`
-    subsets are discovered.
+    A mask holds bit i for node i of the graph (in node order); looking a
+    mask up gives the mask of all its members' successors.  `succ[i]` is
+    the successor mask of node i alone.
+    """
 
-    Returns (parent, delta, hit): `parent` maps every discovered subset, in
-    discovery order, to (previous subset, symbol), or to None for `start`;
-    `delta` maps (subset, symbol) to the successor subset for every expanded
-    subset; `hit` is the stop subset, or None when exploration completed.
+    __slots__ = ("succ",)
+
+    def __init__(self, succ):
+        self.succ = succ
+        self[0] = 0
+
+    def __missing__(self, mask):
+        out, rest, succ = 0, mask, self.succ
+        while rest:
+            low = rest & -rest
+            out |= succ[low.bit_length() - 1]
+            rest ^= low
+        self[mask] = out
+        return out
+
+
+def _node_mask(g, nodes):
+    """Mask of `nodes` in g: bit i stands for g.nodes[i]."""
+    return sum(1 << g.nodes.index(v) for v in nodes)
+
+
+def _members(items, mask):
+    """The items whose bits are set in `mask`, in order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
+def _successor_steps(graphs):
+    """Per graph, one `_Step` per alphabet symbol.  Equal graphs share
+    their steps, so every part built on one graph shares one memo."""
+    shared = {}
+    steps = []
+    for g in graphs:
+        table = shared.get(g)
+        if table is None:
+            index = {v: i for i, v in enumerate(g.nodes)}
+            succ = {sym: [0] * len(g.nodes) for sym in g.alphabet}
+            for src, dst, sym in g.edges:
+                succ[sym][index[src]] |= 1 << index[dst]
+            table = shared[g] = tuple(_Step(succ[sym]) for sym in g.alphabet)
+        steps.append(table)
+    return steps
+
+
+def _explore_subsets(alphabet, steps, start, limit, stop=None):
+    """Breadth-first subset construction over several parts at once.
+
+    A part is one graph (or automaton) read from its own start subset.  A
+    state holds one node mask per part (see `_Step`), `start` is the tuple
+    of start masks, and `steps[k]` is part k's `_successor_steps` entry.
+    Each symbol maps every part's mask to its successor mask; only parts
+    with a nonempty mask are stepped, since the empty mask stays empty.
+    Symbols are tried in alphabet order, so the parent links spell the
+    shortest word reaching each state, ties broken lexicographically.
+    Exploration ends at the first state (start included) for which `stop`
+    holds; that state is not counted against `limit`.  Raises
+    ResourceLimitError when more than `limit` states are discovered.
+
+    Returns (parent, hit): `parent` maps every discovered state, in
+    discovery order, to (previous state, symbol), or to None for `start`;
+    `hit` is the stop state, or None when exploration completed, in which
+    case every state in `parent` was expanded.
     """
     parent = {start: None}
-    delta = {}
     if stop is not None and stop(start):
-        return parent, delta, start
-    queue = deque([start])
+        return parent, start
+    moves = [(sym, [part[i] for part in steps]) for i, sym in enumerate(alphabet)]
+    blank = [0] * len(start)
+    queue = deque([(start, [k for k, mask in enumerate(start) if mask])])
     while queue:
-        current = queue.popleft()
-        for sym in alphabet:
-            nxt = frozenset(q for p in current for q in out.get((p, sym), ()))
-            delta[(current, sym)] = nxt
+        current, live = queue.popleft()
+        for sym, step in moves:
+            nxt = blank[:]
+            for k in live:
+                nxt[k] = step[k][current[k]]
+            nxt = tuple(nxt)
             if nxt in parent:
                 continue
             parent[nxt] = (current, sym)
             if stop is not None and stop(nxt):
-                return parent, delta, nxt
+                return parent, nxt
             if len(parent) > limit:
                 raise ResourceLimitError(
                     f"subset exploration exceeded {limit} subsets"
                 )
-            queue.append(nxt)
-    return parent, delta, None
+            queue.append((nxt, [k for k in live if nxt[k]]))
+    return parent, None
 
 
-def _word_to(parent, subset):
-    """Word spelled by the parent links from the start to `subset`, most
+def _word_to(parent, state):
+    """Word spelled by the parent links from the start to `state`, most
     recent symbol first (the reverse of the order it was consumed in)."""
     word = []
-    while parent[subset] is not None:
-        subset, sym = parent[subset]
+    while parent[state] is not None:
+        state, sym = parent[state]
         word.append(sym)
     return tuple(word)
 
@@ -199,18 +261,20 @@ def _word_to(parent, subset):
 def find_unreadable_word(g: LabeledGraph, cap=None):
     """Shortest word with no reading path in g, or None if all words read.
 
-    Runs `_explore_subsets` from the full node set, stopping at the empty
-    subset: the symbols consumed to reach it form an unreadable word.  The
-    word is returned most recent symbol first (reverse of the order the
-    symbols were consumed in), matching the memory-word convention used by
-    the automata layer; reverse it for trajectory order.
+    Runs `_explore_subsets` on one part, g from its full node set,
+    stopping at the empty subset: the symbols consumed to reach it form an
+    unreadable word.  The word is returned most recent symbol first
+    (reverse of the order the symbols were consumed in), matching the
+    memory-word convention used by the automata layer; reverse it for
+    trajectory order.
 
     Raises ResourceLimitError when more than `cap` distinct subsets appear
     (default 2^20, env-overridable).
     """
     limit = state_cap(cap, DEFAULT_SUBSET_CAP)
-    parent, _, hit = _explore_subsets(
-        g.out_map(), g.alphabet, frozenset(g.nodes), limit, lambda s: not s
+    parent, hit = _explore_subsets(
+        g.alphabet, _successor_steps([g]), ((1 << len(g.nodes)) - 1,), limit,
+        lambda s: not s[0],
     )
     return None if hit is None else _word_to(parent, hit)
 

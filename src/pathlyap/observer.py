@@ -9,9 +9,22 @@ doubles as a path-completeness check with an explicit witness.
 """
 
 from dataclasses import dataclass, field
+from operator import methodcaller
 
 from .errors import InvariantViolation, NotPathCompleteError, state_cap
-from .graphs import LabeledGraph, _explore_subsets, _word_to, graph_from_json
+from .graphs import (
+    LabeledGraph,
+    _explore_subsets,
+    _members,
+    _successor_steps,
+    _word_to,
+    graph_from_json,
+)
+
+
+_escaped = methodcaller(
+    "translate", str.maketrans({c: "\\" + c for c in "\\,{}"})
+)
 
 
 @dataclass(frozen=True)
@@ -22,7 +35,10 @@ class ObserverNode:
 
     @property
     def name(self):
-        return "{" + ",".join(sorted(self.subset)) + "}"
+        """The sorted member names, comma-separated in braces.  Member names
+        containing ",", "{", "}" or "\\" are written with a backslash
+        before each such character, so distinct subsets get distinct names."""
+        return "{" + ",".join(map(_escaped, sorted(self.subset))) + "}"
 
 
 @dataclass
@@ -64,29 +80,34 @@ def observer_from_json(d):
 def observer_graph(g, cap=None):
     """Determinize ``g`` by subset construction from the full node set.
 
-    Runs `graphs._explore_subsets`, stopping at the empty subset.  Raises
-    NotPathCompleteError (with the offending word, most recent symbol first)
-    when an empty subset is reached, and ResourceLimitError when the number
-    of discovered subsets exceeds the cap (default 2^20, env-overridable).
+    Runs `graphs._explore_subsets` on one part, g from its full node set,
+    stopping at the empty subset, and turns node masks back into node names
+    only for the subsets it found.  Raises NotPathCompleteError (with the
+    offending word, most recent symbol first) when an empty subset is
+    reached, and ResourceLimitError when the number of discovered subsets
+    exceeds the cap (default 2^20, env-overridable).
     """
-    root = frozenset(g.nodes)
-    parent, delta, hit = _explore_subsets(
-        g.out_map(), g.alphabet, root, state_cap(cap), lambda s: not s
+    steps = _successor_steps([g])
+    parent, hit = _explore_subsets(
+        g.alphabet, steps, ((1 << len(g.nodes)) - 1,), state_cap(cap),
+        lambda s: not s[0],
     )
     if hit is not None:
         raise NotPathCompleteError(_word_to(parent, hit))
-    nodes = [ObserverNode(subset) for subset in parent]
-    names = {node.subset: node.name for node in nodes}
+    subset_map = {}
+    names = {}
+    for (mask,) in parent:
+        node = ObserverNode(frozenset(_members(g.nodes, mask)))
+        names[mask] = node.name
+        subset_map[names[mask]] = node
+    # each state was expanded, so the memo holds every successor
     edges = [
-        (names[subset], names[nxt], symbol)
-        for (subset, symbol), nxt in delta.items()
+        (names[mask], names[step[mask]], symbol)
+        for mask in names
+        for symbol, step in zip(g.alphabet, steps[0])
     ]
-    graph = LabeledGraph(g.alphabet, tuple(n.name for n in nodes), edges)
-    return ObserverGraph(
-        graph=graph,
-        root=names[root],
-        subset_map={node.name: node for node in nodes},
-    )
+    graph = LabeledGraph(g.alphabet, tuple(subset_map), edges)
+    return ObserverGraph(graph=graph, root=graph.nodes[0], subset_map=subset_map)
 
 
 def observer_core(obs):

@@ -16,6 +16,7 @@ from pathlyap.automata import (
     accepts,
     is_universal,
     language_includes,
+    language_of_observer_node,
     prefix_class_automaton,
     prepend_symbol,
 )
@@ -174,6 +175,16 @@ def test_observer_covering_of_de_bruijn_1():
     root = fam.members[0]
     assert accepts(root.automaton, ())
     assert validate_covering(fam).ok
+
+
+def test_observer_members_share_one_dual_graph():
+    """Every member is the node language of its observer node, and all of
+    them sit on one dual graph object."""
+    obs = observer_graph(mixed_horizon())
+    fam = observer_to_covering(obs)
+    assert len({id(m.automaton.graph) for m in fam.members}) == 1
+    for m in fam.members:
+        assert m.automaton == language_of_observer_node(obs, m.name)
 
 
 def test_observer_covering_of_single_loop_is_universal():

@@ -9,6 +9,7 @@ from pathlyap.automata import (
     language_of_observer_node,
     prepend_symbol,
 )
+from pathlyap.covering import covering_to_graph, observer_to_covering
 from pathlyap.errors import NotPathCompleteError, ResourceLimitError
 from pathlyap.graphs import LabeledGraph, de_bruijn, is_complete, is_deterministic
 from pathlyap.observer import (
@@ -60,6 +61,23 @@ def test_observer_of_h_has_five_nodes():
     assert obs.root == "{[aa],[ab],[b]}"
     assert is_deterministic(obs.graph)
     assert is_complete(obs.graph)
+
+
+def test_observer_names_escape_separators():
+    """Subsets {x,y | z} and {x | y,z} would both be named {x,y,z}; a
+    backslash before each ",", "{", "}" and "\\" in a member name keeps the
+    names apart, and the covering round trip gives the observer back."""
+    nodes = ("x,y", "z", "x", "y,z")
+    edges = [(v, t, "a") for v in nodes for t in ("x,y", "z")]
+    edges += [(v, t, "b") for v in nodes for t in ("x", "y,z")]
+    obs = observer_graph(LabeledGraph(("a", "b"), nodes, edges))
+    assert set(obs.graph.nodes) == {
+        "{x,x\\,y,y\\,z,z}", "{x\\,y,z}", "{x,y\\,z}",
+    }
+    assert obs.subset_map["{x\\,y,z}"].subset == {"x,y", "z"}
+    assert ObserverNode(frozenset({"a\\", "{b}"})).name == "{a\\\\,\\{b\\}}"
+    rebuilt, _ = covering_to_graph(observer_to_covering(obs))
+    assert rebuilt == obs.graph
 
 
 def test_observer_state_cap():
