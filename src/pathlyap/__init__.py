@@ -42,12 +42,8 @@ _EXPORTS = {
         "PrefixClass",
         "accepts",
         "automaton_from_json",
-        "is_universal",
         "language_includes",
-        "language_of_observer_node",
         "prefix_class_automaton",
-        "prepend_symbol",
-        "union_automaton",
         "universality_witness",
     ),
     "observer": (

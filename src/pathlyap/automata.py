@@ -10,14 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import and_
 
-from .errors import DEFAULT_DETERMINIZE_CAP, state_cap
+from .errors import DEFAULT_DETERMINIZE_CAP, json_object, state_cap
 from .graphs import (
     LabeledGraph,
     _explore_subsets,
     _node_mask,
     _successor_steps,
     _word_to,
-    dual,
     graph_from_json,
 )
 
@@ -27,12 +26,8 @@ __all__ = [
     "automaton_from_json",
     "accepts",
     "prefix_class_automaton",
-    "prepend_symbol",
-    "union_automaton",
     "language_includes",
-    "is_universal",
     "universality_witness",
-    "language_of_observer_node",
 ]
 
 
@@ -69,14 +64,8 @@ class Automaton:
 
 
 def automaton_from_json(data: dict) -> Automaton:
-    if not isinstance(data, dict):
-        raise ValueError("automaton JSON must be an object")
-    extra = set(data) - {"alphabet", "nodes", "edges", "initial", "accepting"}
-    if extra:
-        raise ValueError(f"unknown automaton keys: {sorted(extra)}")
-    for key in ("initial", "accepting"):
-        if key not in data:
-            raise ValueError(f"automaton JSON missing {key!r}")
+    json_object(data, "automaton",
+                ("alphabet", "nodes", "edges", "initial", "accepting"))
     graph = graph_from_json(
         {k: data[k] for k in ("alphabet", "nodes", "edges")}
     )
@@ -128,28 +117,6 @@ def accepts(a: Automaton, word) -> bool:
     return bool(frontier & a.accepting)
 
 
-def _fresh_node(taken, base) -> str:
-    name = base
-    while name in taken:
-        name = "^" + name
-    return name
-
-
-def prepend_symbol(h: str, a: Automaton) -> Automaton:
-    """Automaton for { h·w : w in L(a) }.
-
-    A fresh initial state carries h-edges into a's initial states and is
-    never accepting (ε does not belong to a prepended language).
-    """
-    if h not in a.graph.alphabet:
-        raise ValueError(f"symbol {h!r} not in alphabet")
-    start = _fresh_node(set(a.graph.nodes), f"+{h}")
-    nodes = (start,) + a.graph.nodes
-    edges = list(a.graph.edges) + [(start, q, h) for q in sorted(a.initial)]
-    graph = LabeledGraph(a.graph.alphabet, nodes, edges)
-    return Automaton(graph, frozenset({start}), a.accepting)
-
-
 def _common_alphabet(parts):
     """The alphabet shared by a nonempty sequence of automata."""
     if not parts:
@@ -158,21 +125,6 @@ def _common_alphabet(parts):
     if any(p.graph.alphabet != alphabet for p in parts):
         raise ValueError("union members must share one alphabet")
     return alphabet
-
-
-def union_automaton(parts) -> Automaton:
-    """Disjoint union recognizing the union of the parts' languages."""
-    parts = list(parts)
-    alphabet = _common_alphabet(parts)
-    nodes, edges, initial, accepting = [], [], set(), set()
-    for i, p in enumerate(parts):
-        rename = {v: f"{i}:{v}" for v in p.graph.nodes}
-        nodes.extend(rename[v] for v in p.graph.nodes)
-        edges.extend((rename[s], rename[d], h) for s, d, h in p.graph.edges)
-        initial.update(rename[v] for v in p.initial)
-        accepting.update(rename[v] for v in p.accepting)
-    graph = LabeledGraph(alphabet, tuple(nodes), edges)
-    return Automaton(graph, frozenset(initial), frozenset(accepting))
 
 
 def _parts(automata):
@@ -203,47 +155,22 @@ def language_includes(sub: Automaton, sup: Automaton, cap=None) -> bool:
     return hit is None
 
 
-def universality_witness(a, cap=None):
-    """Shortest word outside L(a), or None when L(a) = S*.
+def universality_witness(automata, cap=None):
+    """Shortest word that no automaton in `automata` accepts, or None when
+    their union is S*.
 
-    `a` is an automaton, or a nonempty sequence of automata over one
-    alphabet standing for their union.  Each automaton is one part of a
-    single `_explore_subsets` run from its initial set; the run stops at
+    `automata` is a nonempty sequence of automata over one alphabet; pass a
+    one-element list for a single automaton.  Each automaton is one part of
+    a single `_explore_subsets` run from its initial set; the run stops at
     the first state where no part holds an accepting node.  Ties are broken
     lexicographically in alphabet order.  The cap bounds the states of that
-    run, exactly as it bounds the subsets of `union_automaton(a)`.
+    run, which are as many as the subsets of the parts' disjoint union.
     """
-    automata = [a] if isinstance(a, Automaton) else list(a)
+    alphabet = _common_alphabet(automata)
     steps, start, finals = _parts(automata)
     parent, hit = _explore_subsets(
-        _common_alphabet(automata), steps, start,
+        alphabet, steps, start,
         state_cap(cap, DEFAULT_DETERMINIZE_CAP),
         lambda s: not any(map(and_, s, finals)),
     )
     return None if hit is None else _word_to(parent, hit)[::-1]
-
-
-def is_universal(a: Automaton, cap=None) -> bool:
-    """True iff L(a) is the set of all finite words."""
-    return universality_witness(a, cap=cap) is None
-
-
-def language_of_observer_node(obs, node) -> Automaton:
-    """Automaton for the words whose observer run lands on `node`.
-
-    Built as the dual of the observer graph with `node` initial and the root
-    (the full-set node) accepting.  `obs` is an ObserverGraph; `node` may be
-    a node id or an ObserverNode.
-    """
-    node_id = node if isinstance(node, str) else _node_id_for(obs, node)
-    if node_id not in obs.subset_map:
-        raise ValueError(f"unknown observer node {node_id!r}")
-    return Automaton(dual(obs.graph), frozenset({node_id}), frozenset({obs.root}))
-
-
-def _node_id_for(obs, node):
-    subset = frozenset(node.subset)
-    for name, candidate in obs.subset_map.items():
-        if frozenset(candidate.subset) == subset:
-            return name
-    raise ValueError("observer node not found")

@@ -20,14 +20,15 @@ from .automata import (
     automaton_from_json,
     language_includes,  # unused here; perfbench/tracing.py wraps this name
     prefix_class_automaton,
-    universality_witness,
+    universality_witness,  # unused here; perfbench/tracing.py wraps this name
 )
-from .errors import DEFAULT_DETERMINIZE_CAP, state_cap
+from .errors import DEFAULT_DETERMINIZE_CAP, json_object, state_cap
 from .graphs import (
     LabeledGraph,
     _explore_subsets,
     _members,
     _word_name,
+    _word_to,
     dual,
 )
 from .observer import ObserverGraph, observer_graph
@@ -82,16 +83,15 @@ class CoveringFamily:
 
 
 def covering_from_json(d):
-    extra = set(d) - {"alphabet", "members"}
-    if extra:
-        raise ValueError(f"unknown keys in covering JSON: {sorted(extra)}")
+    json_object(d, "covering", ("alphabet", "members"))
     for key in ("alphabet", "members"):
-        if key not in d:
-            raise ValueError(f"covering JSON is missing {key!r}")
+        if not isinstance(d[key], list):
+            raise ValueError(f"covering {key!r} must be a list")
     alphabet = tuple(d["alphabet"])
     members = []
     for entry in d["members"]:
-        keys = set(entry)
+        keys = set(json_object(entry, "covering member", ("name",),
+                               ("stem", "automaton")))
         if keys == {"name", "stem"}:
             stem = tuple(entry["stem"])
             auto = prefix_class_automaton(PrefixClass(alphabet, stem))
@@ -130,8 +130,9 @@ class CoveringReport:
         }
 
 
-def _edge_table(c, cap=None):
-    """Map (member name, symbol) to the names of all members containing the
+def _validate_with_table(c, cap=None):
+    """validate_covering's report together with the edge table, which maps
+    (member name, symbol) to the names of all members containing the
     prepended language.
 
     By the left quotient, h·L(B) ⊆ L(C) iff C started from its h-successors
@@ -140,18 +141,33 @@ def _edge_table(c, cap=None):
     n + k), decides every pair: in each reachable state, a source whose
     part accepts keeps only the targets whose stepped part accepts too.
     Members on equal graphs share one successor memo.
+
+    The run for the first symbol also decides coverage.  Its parts 0..n-1
+    are the members read from their initial sets, and breadth-first search
+    with symbols in alphabet order discovers each state by its shortlex-first
+    word, so the first discovered state where none of those parts accepts
+    spells the shortlex-first uncovered word, the one `universality_witness`
+    finds on the members.  That run holds every state the members' own run
+    would, so the cap stops no validation that run would have let pass.
     """
     limit = state_cap(cap, DEFAULT_DETERMINIZE_CAP)
     names = [m.name for m in c.members]
     n = len(names)
     steps, initial, finals = _parts([m.automaton for m in c.members])
     bits = [1 << k for k in range(n)]
+    witness = None
     kept = {}
     for i, h in enumerate(c.alphabet):
         stepped = tuple(part[i][mask] for part, mask in zip(steps, initial))
         parent, _ = _explore_subsets(
             c.alphabet, steps * 2, initial + stepped, limit
         )
+        if i == 0:
+            uncovered = next(
+                (s for s in parent if not any(map(and_, s, finals))), None
+            )
+            if uncovered is not None:
+                witness = _word_to(parent, uncovered)[::-1]
         # targets[k] has bit t while member t may still contain h·L(k)
         targets = [(1 << n) - 1] * n
         for state in parent:
@@ -159,20 +175,12 @@ def _edge_table(c, cap=None):
             for k in compress(range(n), map(and_, state, finals)):
                 targets[k] &= inside
         kept[h] = targets
-    return {
+    table = {
         (names[k], h): tuple(_members(names, kept[h][k]))
         for k in range(n)
         for h in c.alphabet
     }
-
-
-def _validate_with_table(c, cap=None):
-    """validate_covering's report together with the edge table it built."""
-    witness = universality_witness([m.automaton for m in c.members], cap=cap)
-    table = _edge_table(c, cap=cap)
-    unclosed = tuple(
-        pair for pair, targets in table.items() if not targets
-    )
+    unclosed = tuple(pair for pair, targets in table.items() if not targets)
     report = CoveringReport(
         covers_all_words=witness is None,
         uncovered_witness=witness,
@@ -187,14 +195,9 @@ def validate_covering(c, cap=None):
     return _validate_with_table(c, cap=cap)[0]
 
 
-def covering_to_graph(c, cap=None):
-    """Translate a valid covering family into its labeled graph.
-
-    One node per member; an edge (B, C, h) for every containment of the
-    h-prepended member B inside member C, keeping all containments when
-    several hold.  Returns the graph together with the node-to-member map.
-    """
-    report, table = _validate_with_table(c, cap=cap)
+def _require_valid(report):
+    """Raise the ValueError naming the first covering condition that
+    `report` shows failing."""
     if not report.covers_all_words:
         raise ValueError(
             "family does not cover every word; uncovered witness: "
@@ -205,6 +208,17 @@ def covering_to_graph(c, cap=None):
             "family is not closed under symbol prepending; failing "
             f"(member, symbol) pairs: {list(report.unclosed_pairs)}"
         )
+
+
+def covering_to_graph(c, cap=None):
+    """Translate a valid covering family into its labeled graph.
+
+    One node per member; an edge (B, C, h) for every containment of the
+    h-prepended member B inside member C, keeping all containments when
+    several hold.  Returns the graph together with the node-to-member map.
+    """
+    report, table = _validate_with_table(c, cap=cap)
+    _require_valid(report)
     edges = [
         (source, target, symbol)
         for (source, symbol), targets in table.items()
@@ -219,11 +233,13 @@ def observer_to_covering(g, cap=None):
     """Covering family made of the observer's node languages.
 
     Accepts either a path-complete base graph (determinized here) or an
-    already built ObserverGraph.  Each member is the automaton that
-    `language_of_observer_node` builds, but all members share one dual
-    graph, so the family's subset explorations share one successor memo.
-    Member names are the observer node ids, so translating back to a graph
-    reproduces the observer graph itself, node names included.
+    already built ObserverGraph.  The member of node P is the dual of the
+    observer graph read from P and accepting at the root: it accepts
+    exactly the words whose observer run, read in trajectory order from the
+    root, ends at P.  All members share one dual graph, so the family's
+    subset explorations share one successor memo.  Member names are the
+    observer node ids, so translating back to a graph reproduces the
+    observer graph itself, node names included.
     """
     obs = g if isinstance(g, ObserverGraph) else observer_graph(g, cap=cap)
     back = dual(obs.graph)
@@ -243,15 +259,5 @@ def prefix_covering(stems, alphabet, cap=None):
         auto = prefix_class_automaton(PrefixClass(alphabet, stem))
         members.append(CoveringMember(_word_name(stem, alphabet), auto, stem=stem))
     fam = CoveringFamily(tuple(alphabet), tuple(members))
-    report = validate_covering(fam, cap=cap)
-    if not report.ok:
-        if not report.covers_all_words:
-            raise ValueError(
-                "stems do not cover every word; uncovered witness: "
-                f"{report.uncovered_witness}"
-            )
-        raise ValueError(
-            "stem family is not closed under symbol prepending; failing "
-            f"(member, symbol) pairs: {list(report.unclosed_pairs)}"
-        )
+    _require_valid(validate_covering(fam, cap=cap))
     return fam

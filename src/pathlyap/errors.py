@@ -1,4 +1,4 @@
-"""Shared exceptions and resource caps.
+"""Shared exceptions, resource caps, and the shape check for JSON input.
 
 All potentially exponential constructions (subset exploration,
 determinization, word enumeration) carry a state cap and abort with
@@ -41,6 +41,21 @@ class NotPathCompleteError(ValueError):
         self.witness = tuple(witness)
         shown = ",".join(self.witness) if self.witness else "(empty)"
         super().__init__(f"not path-complete: word [{shown}] has no reading path")
+
+
+def json_object(data, what, required, optional=()):
+    """`data`, once checked to be a JSON object that holds every key in
+    `required` and no key outside `required` and `optional`; a ValueError
+    that names `what` otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    extra = set(data) - set(required) - set(optional)
+    if extra:
+        raise ValueError(f"unknown keys in {what} JSON: {sorted(extra)}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{what} JSON is missing {key!r}")
+    return data
 
 
 def positive_cap(value, name):

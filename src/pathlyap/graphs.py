@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import (
     DEFAULT_SUBSET_CAP,
     ResourceLimitError,
+    json_object,
     state_cap,
 )
 
@@ -87,16 +88,12 @@ class LabeledGraph:
 
 def graph_from_json(data: dict) -> LabeledGraph:
     """Parse the graph JSON form; unknown keys are rejected."""
-    if not isinstance(data, dict):
-        raise ValueError("graph JSON must be an object")
-    extra = set(data) - {"alphabet", "nodes", "edges"}
-    if extra:
-        raise ValueError(f"unknown graph keys: {sorted(extra)}")
+    json_object(data, "graph", ("alphabet", "nodes", "edges"))
     try:
         alphabet = tuple(data["alphabet"])
         nodes = tuple(data["nodes"])
         edges = [tuple(e) for e in data["edges"]]
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
     if any(len(e) != 3 for e in edges):
         raise ValueError("edges must be [source, dest, label] triples")

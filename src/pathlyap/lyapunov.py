@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import json_object
+
 ASYMMETRY_CAP = 1e-8
 EIG_REL_TOL = 1e-9
 EIG_ABS_FLOOR = 1e-12
@@ -77,12 +79,7 @@ class SwitchedLinearSystem:
 
 
 def system_from_json(d):
-    extra = set(d) - {"alphabet", "dimension", "modes"}
-    if extra:
-        raise ValueError(f"unknown keys in system JSON: {sorted(extra)}")
-    for key in ("alphabet", "dimension", "modes"):
-        if key not in d:
-            raise ValueError(f"system JSON is missing {key!r}")
+    json_object(d, "system", ("alphabet", "dimension", "modes"))
     return SwitchedLinearSystem(
         tuple(d["alphabet"]), int(d["dimension"]), dict(d["modes"])
     )
@@ -127,12 +124,7 @@ class QuadraticCertificate:
 def certificate_from_json(d):
     from .graphs import graph_from_json
 
-    extra = set(d) - {"graph", "rho", "P", "margin"}
-    if extra:
-        raise ValueError(f"unknown keys in certificate JSON: {sorted(extra)}")
-    for key in ("graph", "rho", "P"):
-        if key not in d:
-            raise ValueError(f"certificate JSON is missing {key!r}")
+    json_object(d, "certificate", ("graph", "rho", "P"), ("margin",))
     return QuadraticCertificate(
         graph=graph_from_json(d["graph"]),
         P={node: np.asarray(m, dtype=float) for node, m in d["P"].items()},

@@ -11,7 +11,12 @@ doubles as a path-completeness check with an explicit witness.
 from dataclasses import dataclass, field
 from operator import methodcaller
 
-from .errors import InvariantViolation, NotPathCompleteError, state_cap
+from .errors import (
+    InvariantViolation,
+    NotPathCompleteError,
+    json_object,
+    state_cap,
+)
 from .graphs import (
     LabeledGraph,
     _explore_subsets,
@@ -57,12 +62,7 @@ class ObserverGraph:
 
 
 def observer_from_json(d):
-    extra = set(d) - {"alphabet", "nodes", "edges", "root", "subsets"}
-    if extra:
-        raise ValueError(f"unknown keys in observer JSON: {sorted(extra)}")
-    for key in ("root", "subsets"):
-        if key not in d:
-            raise ValueError(f"observer JSON is missing {key!r}")
+    json_object(d, "observer", ("alphabet", "nodes", "edges", "root", "subsets"))
     graph = graph_from_json(
         {"alphabet": d["alphabet"], "nodes": d["nodes"], "edges": d["edges"]}
     )

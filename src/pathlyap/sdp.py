@@ -215,13 +215,10 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False, start=None):
     stack = np.eye(n) + np.tensordot(z_nodes, basis, axes=1)
     assignment = dict(zip(problem.nodes, stack))
     status = _STATUS_NAMES[int(code)]
-    if not np.all(np.isfinite(z)):
-        return MarginSolution(
-            margin=float("nan"), assignment=assignment,
-            iterations=int(iterations), status="numerical-failure",
-            point=z, weight=float(weight), rho=float(problem.rho),
-        )
-    margin = float(np.linalg.eigvalsh(problem.blocks(assignment))[:, 0].min())
+    margin = (
+        float(np.linalg.eigvalsh(problem.blocks(assignment))[:, 0].min())
+        if np.all(np.isfinite(z)) else float("nan")
+    )
     if not math.isfinite(margin):
         status = "numerical-failure"
     return MarginSolution(
@@ -408,9 +405,7 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
             "certificate from the smallest feasible probe failed "
             "independent verification"
         )
-    cert = QuadraticCertificate(
-        graph, solution.assignment, rho_upper, margin=report.margin
-    )
+    cert.margin = report.margin
     return JsrBoundResult(
         rho_upper=rho_upper,
         certificate=cert,

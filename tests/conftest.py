@@ -1,11 +1,14 @@
 """Shared helpers: seeded random graph generators used across test modules,
-and the loader for the test data under tests/data."""
+reference automaton constructions (union and prepend) that the subset
+explorations are checked against, and the loader for the test data under
+tests/data."""
 
 import json
 from pathlib import Path
 
 import numpy as np
 
+from pathlyap.automata import Automaton
 from pathlyap.graphs import LabeledGraph, is_path_complete
 
 SYMBOLS = ("a", "b", "c")
@@ -60,6 +63,42 @@ def mixed_graph_sample(rng, n_nodes, n_syms):
     if kind == 1:
         return random_graph(rng, n_nodes, n_syms, 1.5 / n_nodes)
     return random_complete_graph(rng, n_nodes, n_syms)
+
+
+def _fresh_node(taken, base):
+    name = base
+    while name in taken:
+        name = "^" + name
+    return name
+
+
+def prepend_symbol(h, a):
+    """Automaton for { h·w : w in L(a) }.
+
+    A fresh initial state carries h-edges into a's initial states and is
+    never accepting (ε does not belong to a prepended language).
+    """
+    if h not in a.graph.alphabet:
+        raise ValueError(f"symbol {h!r} not in alphabet")
+    start = _fresh_node(set(a.graph.nodes), f"+{h}")
+    nodes = (start,) + a.graph.nodes
+    edges = list(a.graph.edges) + [(start, q, h) for q in sorted(a.initial)]
+    graph = LabeledGraph(a.graph.alphabet, nodes, edges)
+    return Automaton(graph, frozenset({start}), a.accepting)
+
+
+def union_automaton(parts):
+    """Disjoint union recognizing the union of the parts' languages, which
+    share one alphabet."""
+    nodes, edges, initial, accepting = [], [], set(), set()
+    for i, p in enumerate(parts):
+        rename = {v: f"{i}:{v}" for v in p.graph.nodes}
+        nodes.extend(rename[v] for v in p.graph.nodes)
+        edges.extend((rename[s], rename[d], h) for s, d, h in p.graph.edges)
+        initial.update(rename[v] for v in p.initial)
+        accepting.update(rename[v] for v in p.accepting)
+    graph = LabeledGraph(parts[0].graph.alphabet, tuple(nodes), edges)
+    return Automaton(graph, frozenset(initial), frozenset(accepting))
 
 
 def margin_corpus():

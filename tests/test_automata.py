@@ -5,18 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
+from conftest import prepend_symbol, random_graph, union_automaton
 from oracles import nfa_accepts, prefix_class_member, words_up_to
 from pathlyap.automata import (
     Automaton,
     PrefixClass,
     accepts,
     automaton_from_json,
-    is_universal,
     language_includes,
     prefix_class_automaton,
-    prepend_symbol,
-    union_automaton,
     universality_witness,
 )
 from pathlyap.errors import ResourceLimitError
@@ -176,7 +173,7 @@ def test_universality_witness_is_first_rejected_word():
     found = 0
     for _ in range(150):
         a = random_automaton(rng)
-        w = universality_witness(a)
+        w = universality_witness([a])
         if w is None:
             continue
         found += 1
@@ -189,9 +186,13 @@ def test_universality_witness_is_first_rejected_word():
 
 
 def test_universal_union_examples():
-    assert is_universal(union_automaton([chain("a"), chain("b")]))
-    assert not is_universal(union_automaton([chain("aa"), chain("ab")]))
-    assert is_universal(union_automaton([chain("aa"), chain("ab"), chain("b")]))
+    for parts, universal in [
+        ([chain("a"), chain("b")], True),
+        ([chain("aa"), chain("ab")], False),
+        ([chain("aa"), chain("ab"), chain("b")], True),
+    ]:
+        assert (universality_witness(parts) is None) == universal
+        assert (universality_witness([union_automaton(parts)]) is None) == universal
 
 
 def test_union_is_language_union():
@@ -205,14 +206,14 @@ def test_union_is_language_union():
 
 def test_determinization_cap():
     with pytest.raises(ResourceLimitError):
-        is_universal(chain("ab"), cap=1)
+        universality_witness([chain("ab")], cap=1)
     # three subsets: both initial states, then one absorbing state per part
     universal = union_automaton([chain("a"), chain("b")])
-    assert is_universal(universal, cap=3)
+    assert universality_witness([universal], cap=3) is None
     with pytest.raises(ResourceLimitError, match="exceeded 2 subsets"):
-        is_universal(universal, cap=2)
+        universality_witness([universal], cap=2)
     # the first subset with no accepting state ends the search uncounted
-    assert universality_witness(chain("ab"), cap=2) == ("b",)
+    assert universality_witness([chain("ab")], cap=2) == ("b",)
 
 
 def test_inclusion_subset_cap():

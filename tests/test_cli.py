@@ -67,6 +67,32 @@ def test_usage_errors_exit_two(demo_files, capsys):
     assert run(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("argv, content", [
+    (["covering", "validate", "{bad}"], 5),
+    (["covering", "to-graph", "{bad}"], 5),
+    (["covering", "from-graph", "{bad}"], 5),
+    (["jsr", "upper", "--graph", "{db1}", "--system", "{bad}"], 5),
+    (["jsr", "lower", "--system", "{bad}", "--max-len", "2"], 5),
+    (["observer", "core", "{bad}"], 5),
+    (["certificate", "verify", "--certificate", "{bad}",
+      "--system", "{system}"], 5),
+    (["covering", "validate", "{bad}"], {"alphabet": ["a"], "members": [5]}),
+    (["covering", "validate", "{bad}"], {"alphabet": 5, "members": []}),
+    (["covering", "to-graph", "{bad}"], {"alphabet": ["a"], "members": 5}),
+], ids=["covering-validate", "covering-to-graph", "covering-from-graph",
+        "jsr-upper-system", "jsr-lower-system", "observer-core",
+        "certificate-verify", "covering-member", "covering-alphabet",
+        "covering-members"])
+def test_json_of_the_wrong_shape_exits_two(demo_files, tmp_path, capsys,
+                                           argv, content):
+    files = dict(demo_files, bad=write_json(tmp_path, "bad.json", content))
+    code = run([arg.format(**files) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_tolerance_exits_two(demo_files, capsys, bad):
     assert run(["jsr", "upper", "--graph", demo_files["db1"],

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import mixed_graph_sample, random_path_complete_graph
+from conftest import mixed_graph_sample, prepend_symbol, random_path_complete_graph
 from oracles import (
     nfa_accepts,
     prefix_class_member,
@@ -14,16 +14,14 @@ from pathlyap.automata import (
     Automaton,
     PrefixClass,
     accepts,
-    is_universal,
     language_includes,
-    language_of_observer_node,
     prefix_class_automaton,
-    prepend_symbol,
+    universality_witness,
 )
 from pathlyap.covering import (
     CoveringFamily,
     CoveringMember,
-    _edge_table,
+    _validate_with_table,
     covering_from_json,
     covering_to_graph,
     observer_to_covering,
@@ -34,6 +32,7 @@ from pathlyap.errors import ResourceLimitError
 from pathlyap.graphs import (
     LabeledGraph,
     de_bruijn,
+    dual,
     is_complete,
     is_deterministic,
     is_path_complete,
@@ -178,13 +177,15 @@ def test_observer_covering_of_de_bruijn_1():
 
 
 def test_observer_members_share_one_dual_graph():
-    """Every member is the node language of its observer node, and all of
-    them sit on one dual graph object."""
+    """Every member is the node language of its observer node (the dual
+    graph read from that node, accepting at the root), and all of them sit
+    on one dual graph object."""
     obs = observer_graph(mixed_horizon())
     fam = observer_to_covering(obs)
     assert len({id(m.automaton.graph) for m in fam.members}) == 1
+    assert [m.name for m in fam.members] == list(obs.graph.nodes)
     for m in fam.members:
-        assert m.automaton == language_of_observer_node(obs, m.name)
+        assert m.automaton == Automaton(dual(obs.graph), {m.name}, {obs.root})
 
 
 def test_observer_covering_of_single_loop_is_universal():
@@ -193,7 +194,7 @@ def test_observer_covering_of_single_loop_is_universal():
     g = LabeledGraph(AB, ("n",), [("n", "n", "a"), ("n", "n", "b")])
     fam = observer_to_covering(g)
     assert len(fam.members) == 1
-    assert is_universal(fam.members[0].automaton)
+    assert universality_witness([fam.members[0].automaton]) is None
 
 
 def test_round_trip_reproduces_observer_graph():
@@ -267,7 +268,7 @@ def test_edge_table_matches_per_triple_inclusion():
         )
 
     for fam in families:
-        table = _edge_table(fam)
+        table = _validate_with_table(fam)[1]
         targets = {t.name: language(t.automaton) for t in fam.members}
         for source in fam.members:
             for h in fam.alphabet:
@@ -282,15 +283,16 @@ def test_edge_table_matches_per_triple_inclusion():
 
 
 def test_edge_table_subset_cap():
-    """[] and [ab]: the coverage check explores 4 subsets and the edge
+    """[] and [ab]: the members alone reach 4 subsets and the edge
     table's widest per-symbol exploration (symbol a) 5, so the edge table
     is what a cap of 4 stops."""
     fam = family([(), ("a", "b")])
     assert validate_covering(fam, cap=5).ok
+    assert universality_witness([m.automaton for m in fam.members], cap=4) is None
     with pytest.raises(ResourceLimitError, match="exceeded 4 subsets"):
         validate_covering(fam, cap=4)
     with pytest.raises(ResourceLimitError, match="exceeded 4 subsets"):
-        _edge_table(fam, cap=4)
+        _validate_with_table(fam, cap=4)
 
 
 def test_shortcut_agrees_with_language_route():

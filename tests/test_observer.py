@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_path_complete_graph
+from conftest import prepend_symbol, random_path_complete_graph
 from oracles import nfa_accepts, words_up_to
-from pathlyap.automata import (
-    accepts,
-    language_includes,
-    language_of_observer_node,
-    prepend_symbol,
-)
+from pathlyap.automata import accepts, language_includes
 from pathlyap.covering import covering_to_graph, observer_to_covering
 from pathlyap.errors import NotPathCompleteError, ResourceLimitError
 from pathlyap.graphs import LabeledGraph, de_bruijn, is_complete, is_deterministic
@@ -157,12 +152,17 @@ def test_observer_idempotent_up_to_core():
 
 
 # ---------------------------------------------------------------------------
-# node languages (reversed observer)
+# node languages (reversed observer), read off the observer's covering family
 # ---------------------------------------------------------------------------
+
+def node_languages(obs):
+    """Observer node id -> the automaton of its node language."""
+    return {m.name: m.automaton for m in observer_to_covering(obs).members}
+
 
 def test_root_language_contains_epsilon():
     obs = observer_graph(de_bruijn(("a", "b"), 1))
-    b_root = language_of_observer_node(obs, obs.root)
+    b_root = node_languages(obs)[obs.root]
     assert accepts(b_root, ())
 
 
@@ -170,22 +170,9 @@ def test_node_language_of_de_bruijn_1():
     """Words landing on {[a]} are exactly the nonempty ones whose most
     recent (first-position) symbol is a."""
     obs = observer_graph(de_bruijn(("a", "b"), 1))
-    b_a = language_of_observer_node(obs, "{[a]}")
+    b_a = node_languages(obs)["{[a]}"]
     for word in words_up_to(("a", "b"), 4):
         assert accepts(b_a, word) == (len(word) >= 1 and word[0] == "a")
-
-
-def test_node_language_accepts_by_observernode():
-    obs = observer_graph(de_bruijn(("a", "b"), 1))
-    auto = language_of_observer_node(obs, ObserverNode(frozenset({"[b]"})))
-    assert accepts(auto, ("b",))
-    assert not accepts(auto, ("a",))
-
-
-def test_node_language_unknown_node():
-    obs = observer_graph(de_bruijn(("a", "b"), 1))
-    with pytest.raises(ValueError):
-        language_of_observer_node(obs, "{[zz]}")
 
 
 def test_edge_rule_both_directions():
@@ -195,9 +182,7 @@ def test_edge_rule_both_directions():
     samples += [random_path_complete_graph(rng, 3, 2) for _ in range(4)]
     for g in samples:
         obs = observer_graph(g)
-        langs = {
-            node: language_of_observer_node(obs, node) for node in obs.graph.nodes
-        }
+        langs = node_languages(obs)
         edges = set(obs.graph.edges)
         for p in obs.graph.nodes:
             for q in obs.graph.nodes:
@@ -214,8 +199,7 @@ def test_node_language_matches_observer_run():
     g = random_path_complete_graph(rng, 3, 2)
     obs = observer_graph(g)
     runs = obs.graph.out_map()
-    for node in obs.graph.nodes:
-        auto = language_of_observer_node(obs, node)
+    for node, auto in node_languages(obs).items():
         for word in words_up_to(g.alphabet, 4):
             state = obs.root
             for sym in reversed(word):

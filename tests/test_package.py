@@ -27,9 +27,8 @@ EXPORTS = {
                "graph_from_json", "is_complete", "is_deterministic",
                "is_path_complete"),
     "automata": ("Automaton", "PrefixClass", "accepts", "automaton_from_json",
-                 "is_universal", "language_includes",
-                 "language_of_observer_node", "prefix_class_automaton",
-                 "prepend_symbol", "union_automaton", "universality_witness"),
+                 "language_includes", "prefix_class_automaton",
+                 "universality_witness"),
     "observer": ("ObserverGraph", "ObserverNode", "observer_core",
                  "observer_from_json", "observer_graph"),
     "covering": ("CoveringFamily", "CoveringMember", "covering_from_json",

@@ -13,25 +13,33 @@ import json
 import numpy as np
 import pytest
 
-from conftest import mixed_graph_sample, random_graph
+from conftest import (
+    mixed_graph_sample,
+    prepend_symbol,
+    random_graph,
+    random_path_complete_graph,
+    union_automaton,
+)
 from oracles import enumerate_unreadable, nfa_accepts, word_is_readable, words_up_to
+from pathlyap import automata, covering, graphs
 from pathlyap.automata import (
     Automaton,
+    PrefixClass,
     language_includes,
-    prepend_symbol,
-    union_automaton,
+    prefix_class_automaton,
     universality_witness,
 )
 from pathlyap.covering import (
     CoveringFamily,
     CoveringMember,
-    _edge_table,
+    _validate_with_table,
     covering_from_json,
     observer_to_covering,
     prefix_covering,
+    validate_covering,
 )
 from pathlyap.errors import ResourceLimitError
-from pathlyap.graphs import LabeledGraph, find_unreadable_word
+from pathlyap.graphs import LabeledGraph, de_bruijn, find_unreadable_word
 from pathlyap.observer import observer_graph
 
 AB = ("a", "b")
@@ -123,7 +131,7 @@ def test_universality_over_parts_matches_brute_force():
         parts = [random_automaton(rng, alphabet)
                  for _ in range(int(rng.integers(1, 5)))]
         w = universality_witness(parts)
-        assert w == universality_witness(union_automaton(parts))
+        assert w == universality_witness([union_automaton(parts)])
         rejected = (
             word for word in words_up_to(alphabet, 8 if w is None else len(w))
             if not any(accepted(p, word) for p in parts)
@@ -147,11 +155,90 @@ def test_universality_over_parts_needs_one_alphabet():
         universality_witness([])
 
 
+def test_validation_coverage_matches_universality_witness():
+    """Coverage is decided inside the edge-table run for the first symbol:
+    its witness is the one `universality_witness` finds on the members, a
+    cap that stops `universality_witness` stops the validation too, and a
+    validation that a cap lets through has the same witness.  Families mix
+    random automata, prefix classes, and observer families with one member
+    dropped."""
+    rng = np.random.default_rng(104)
+    families = []
+    for _ in range(40):
+        alphabet = AB[: int(rng.integers(1, 3))] if rng.random() < 0.2 else AB
+        families.append(CoveringFamily(alphabet, [
+            CoveringMember(f"m{k}", random_automaton(rng, alphabet))
+            for k in range(int(rng.integers(1, 5)))
+        ]))
+    stems = list(words_up_to(AB, 3))
+    for _ in range(20):
+        chosen = rng.choice(len(stems), size=int(rng.integers(1, 6)),
+                            replace=False)
+        families.append(CoveringFamily(AB, [
+            CoveringMember(str(k), prefix_class_automaton(PrefixClass(AB, stems[k])))
+            for k in chosen
+        ]))
+    for _ in range(15):
+        full = observer_to_covering(
+            random_path_complete_graph(rng, int(rng.integers(2, 5)), 2)
+        ).members
+        if len(full) > 1:
+            drop = int(rng.integers(len(full)))
+            families.append(CoveringFamily(AB, full[:drop] + full[drop + 1:]))
+    uncovered = stopped = 0
+    for fam in families:
+        autos = [m.automaton for m in fam.members]
+        witness = universality_witness(autos)
+        assert validate_covering(fam).uncovered_witness == witness
+        uncovered += witness is not None
+        for cap in (1, 2, 3, 6, 12):
+            try:
+                capped = universality_witness(autos, cap=cap)
+            except ResourceLimitError:
+                stopped += 1
+                with pytest.raises(ResourceLimitError):
+                    validate_covering(fam, cap=cap)
+                continue
+            assert capped == witness
+            try:
+                report = validate_covering(fam, cap=cap)
+            except ResourceLimitError:
+                continue
+            assert report.uncovered_witness == witness
+    assert uncovered > 35 and len(families) - uncovered > 20
+    assert stopped > 100
+
+
+@pytest.mark.parametrize("fam", [
+    observer_to_covering(de_bruijn(("a", "b", "c"), 2)),
+    CoveringFamily(AB, mixed_family().members[:-1]),
+], ids=["covering", "not-covering"])
+def test_validation_explores_once_per_symbol(monkeypatch, fam):
+    """A validation builds the members' successor steps once and runs one
+    subset exploration per symbol, whether or not the family covers."""
+    calls = {"_explore_subsets": 0, "_successor_steps": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    wrappers = {name: counted(name, getattr(graphs, name)) for name in calls}
+    for module in (graphs, automata, covering):
+        for name, wrapper in wrappers.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    validate_covering(fam)
+    assert calls == {"_explore_subsets": len(fam.alphabet),
+                     "_successor_steps": 1}
+
+
 def test_edge_table_matches_pairwise_inclusion():
     """Shared, equal-but-distinct and distinct member graphs in one family:
     the table lists exactly the members C with h·L(B) ⊆ L(C)."""
     fam = mixed_family()
-    table = _edge_table(fam)
+    table = _validate_with_table(fam)[1]
     for source in fam.members:
         for h in fam.alphabet:
             lifted = prepend_symbol(h, source.automaton)
@@ -171,10 +258,14 @@ def test_edge_table_matches_pairwise_inclusion():
     (lambda cap: find_unreadable_word(pc_graph(), cap=cap), 11),
     (lambda cap: find_unreadable_word(thin_graph(), cap=cap), 9),
     (lambda cap: observer_graph(pc_graph(), cap=cap), 11),
-    (lambda cap: _edge_table(observer_to_covering(pc_graph()), cap=cap), 30),
-    (lambda cap: _edge_table(mixed_family(), cap=cap), 23),
+    (lambda cap: _validate_with_table(observer_to_covering(pc_graph()), cap=cap), 30),
+    (lambda cap: _validate_with_table(mixed_family(), cap=cap), 23),
+    (lambda cap: validate_covering(observer_to_covering(pc_graph()), cap=cap), 30),
+    (lambda cap: validate_covering(
+        CoveringFamily(AB, mixed_family().members[:-1]), cap=cap), 23),
 ], ids=["unreadable-complete", "unreadable-thin", "observer",
-        "edge-table-observer", "edge-table-mixed"])
+        "edge-table-observer", "edge-table-mixed", "validate-covering",
+        "validate-not-covering"])
 def test_cap_threshold(run, n):
     run(n)
     with pytest.raises(ResourceLimitError, match=f"exceeded {n - 1} subsets"):
@@ -185,3 +276,6 @@ def test_pinned_graphs():
     assert find_unreadable_word(pc_graph()) is None
     assert find_unreadable_word(thin_graph()) == ("b", "a", "b", "b")
     assert len(observer_graph(pc_graph()).graph.nodes) == 11
+    assert validate_covering(observer_to_covering(pc_graph())).ok
+    report = validate_covering(CoveringFamily(AB, mixed_family().members[:-1]))
+    assert report.uncovered_witness == ("b", "b")
