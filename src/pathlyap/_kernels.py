@@ -41,10 +41,20 @@ back-off, and starting at its weight skips the stages already walked.
 problem at a nearby rate.
 Wherever it starts, a solve that converges at its last stage ends within
 ``N mu`` of the optimum for that stage's weight mu, the last at or above
-``mu_min``.
+:data:`MU_MIN`.
 """
 
 import numpy as np
+
+# path-following tuning: final barrier weight, Newton decrement tolerance,
+# Newton iterations per stage, Armijo slope fraction, backtracking shrink
+# and smallest line-search step
+MU_MIN = 1e-10
+NEWTON_TOL = 1e-11
+MAX_NEWTON = 80
+ARMIJO = 0.25
+BACKTRACK = 0.5
+MIN_STEP = 1e-14
 
 
 def _factor(s):
@@ -61,13 +71,14 @@ def _factor(s):
     return chol, value
 
 
-def barrier_solve(c0, local, index, z0, mu0, mu_min, mu_shrink, newton_tol,
-                  max_newton, armijo_c, step_shrink, min_step, decide=None):
+def barrier_solve(c0, local, index, z0, mu0, mu_shrink, decide=None):
     """Damped-Newton path following for max z[-1] s.t. all blocks PD.
 
     c0 is the (K, n, n) constant stack, local the (K, w, n, n) directions
     of each block and index the (K, w) unknown of each slot; slots of one
-    block that share an unknown add up.  Returns (z, iterations, status,
+    block that share an unknown add up.  The barrier weight starts at mu0
+    and is multiplied by mu_shrink after each stage, down to the last stage
+    at or above :data:`MU_MIN`.  Returns (z, iterations, status,
     mu) with status 0 when the final centering converged, 1 when it ran
     out of Newton iterations, and 2 when z0 is not strictly feasible (z is
     then z0 and no iteration is counted) or a Newton step is not finite;
@@ -106,11 +117,11 @@ def barrier_solve(c0, local, index, z0, mu0, mu_min, mu_shrink, newton_tol,
     gap = count * n
     status = 0
     mu = stage = mu0
-    while mu >= mu_min:
+    while mu >= MU_MIN:
         stage = mu
         # converged ends the stage; centred only when the decrement did
         converged = centred = False
-        for _ in range(max_newton):
+        for _ in range(MAX_NEWTON):
             iterations += 1
             # E[k, j] = L_k^-1 local[k, j] L_k^-T, flattened to (K, w, n n)
             inv = np.linalg.inv(chol)
@@ -129,22 +140,22 @@ def barrier_solve(c0, local, index, z0, mu0, mu_min, mu_shrink, newton_tol,
             if not np.all(np.isfinite(step)):
                 return z, iterations, 2, mu
             decrement = -(grad @ step)
-            if decrement <= 2.0 * newton_tol:
+            if decrement <= 2.0 * NEWTON_TOL:
                 converged = centred = True
                 break
             ds = along(step)
             alpha = 1.0
             moved = False
-            while alpha >= min_step:
+            while alpha >= MIN_STEP:
                 zt = z + alpha * step
                 st = s + alpha * ds
                 ct, lt = _factor(st)
                 if (ct is not None and -zt[-1] - mu * lt
-                        <= fval - armijo_c * alpha * decrement):
+                        <= fval - ARMIJO * alpha * decrement):
                     z, s, chol, log_det = zt, st, ct, lt
                     moved = True
                     break
-                alpha *= step_shrink
+                alpha *= BACKTRACK
             if not moved:
                 # no float-representable step improves f: stationary
                 # enough to end the stage, but not a certified centred point

@@ -10,7 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import and_
 
-from .errors import DEFAULT_DETERMINIZE_CAP, json_object, state_cap
+from .errors import (
+    DEFAULT_DETERMINIZE_CAP,
+    json_object,
+    json_reader,
+    state_cap,
+)
 from .graphs import (
     LabeledGraph,
     _explore_subsets,
@@ -63,6 +68,7 @@ class Automaton:
         return d
 
 
+@json_reader("automaton")
 def automaton_from_json(data: dict) -> Automaton:
     json_object(data, "automaton",
                 ("alphabet", "nodes", "edges", "initial", "accepting"))

@@ -22,7 +22,12 @@ from .automata import (
     prefix_class_automaton,
     universality_witness,  # unused here; perfbench/tracing.py wraps this name
 )
-from .errors import DEFAULT_DETERMINIZE_CAP, json_object, state_cap
+from .errors import (
+    DEFAULT_DETERMINIZE_CAP,
+    json_object,
+    json_reader,
+    state_cap,
+)
 from .graphs import (
     LabeledGraph,
     _explore_subsets,
@@ -82,6 +87,7 @@ class CoveringFamily:
         }
 
 
+@json_reader("covering")
 def covering_from_json(d):
     json_object(d, "covering", ("alphabet", "members"))
     for key in ("alphabet", "members"):

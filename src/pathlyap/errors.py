@@ -1,4 +1,4 @@
-"""Shared exceptions, resource caps, and the shape check for JSON input.
+"""Shared exceptions, resource caps, and the shape checks for JSON input.
 
 All potentially exponential constructions (subset exploration,
 determinization, word enumeration) carry a state cap and abort with
@@ -7,6 +7,7 @@ determinization, word enumeration) carry a state cap and abort with
 explicit or from the environment, must be a positive integer.
 """
 
+import functools
 import operator
 import os
 
@@ -56,6 +57,21 @@ def json_object(data, what, required, optional=()):
         if key not in data:
             raise ValueError(f"{what} JSON is missing {key!r}")
     return data
+
+
+def json_reader(what):
+    """Decorator for the reader of the `what` JSON form: a nested field of
+    the wrong type, which surfaces inside the reader as a TypeError or
+    AttributeError, becomes a ValueError that names `what`."""
+    def wrap(read):
+        @functools.wraps(read)
+        def checked(data):
+            try:
+                return read(data)
+            except (TypeError, AttributeError) as exc:
+                raise ValueError(f"malformed {what} JSON: {exc}") from exc
+        return checked
+    return wrap
 
 
 def positive_cap(value, name):

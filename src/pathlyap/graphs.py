@@ -15,8 +15,10 @@ from dataclasses import dataclass
 
 from .errors import (
     DEFAULT_SUBSET_CAP,
+    DEFAULT_WORD_CAP,
     ResourceLimitError,
     json_object,
+    json_reader,
     state_cap,
 )
 
@@ -86,15 +88,13 @@ class LabeledGraph:
         }
 
 
+@json_reader("graph")
 def graph_from_json(data: dict) -> LabeledGraph:
     """Parse the graph JSON form; unknown keys are rejected."""
     json_object(data, "graph", ("alphabet", "nodes", "edges"))
-    try:
-        alphabet = tuple(data["alphabet"])
-        nodes = tuple(data["nodes"])
-        edges = [tuple(e) for e in data["edges"]]
-    except TypeError as exc:
-        raise ValueError(f"malformed graph JSON: {exc}") from exc
+    alphabet = tuple(data["alphabet"])
+    nodes = tuple(data["nodes"])
+    edges = [tuple(e) for e in data["edges"]]
     if any(len(e) != 3 for e in edges):
         raise ValueError("edges must be [source, dest, label] triples")
     return LabeledGraph(alphabet, nodes, edges)
@@ -131,11 +131,22 @@ def de_bruijn(alphabet, order: int) -> LabeledGraph:
 
     The successor of word w under symbol h is the word (h + w) truncated to
     `order` symbols, i.e. shift in the new symbol at the front.  Complete and
-    deterministic by construction.
+    deterministic by construction.  Raises ResourceLimitError when the
+    |alphabet|^order nodes exceed the word cap (default 2^20,
+    env-overridable).
     """
     alphabet = tuple(alphabet)
     if order < 1:
         raise ValueError("order must be >= 1")
+    limit = state_cap(None, DEFAULT_WORD_CAP)
+    # two or more symbols exceed the cap within limit.bit_length() of
+    # them, so the power stays small however large the order
+    count = len(alphabet) ** min(order, limit.bit_length())
+    if count > limit:
+        raise ResourceLimitError(
+            f"de Bruijn graph of order {order} over {len(alphabet)} symbols "
+            f"exceeds the cap of {limit} nodes"
+        )
     words = list(itertools.product(alphabet, repeat=order))
     name = {w: _word_name(w, alphabet) for w in words}
     edges = [

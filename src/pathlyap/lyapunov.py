@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import json_object
+from .errors import json_object, json_reader
 
 ASYMMETRY_CAP = 1e-8
 EIG_REL_TOL = 1e-9
@@ -78,6 +78,7 @@ class SwitchedLinearSystem:
         }
 
 
+@json_reader("system")
 def system_from_json(d):
     json_object(d, "system", ("alphabet", "dimension", "modes"))
     return SwitchedLinearSystem(
@@ -121,6 +122,7 @@ class QuadraticCertificate:
         }
 
 
+@json_reader("certificate")
 def certificate_from_json(d):
     from .graphs import graph_from_json
 

@@ -15,6 +15,7 @@ from .errors import (
     InvariantViolation,
     NotPathCompleteError,
     json_object,
+    json_reader,
     state_cap,
 )
 from .graphs import (
@@ -61,6 +62,7 @@ class ObserverGraph:
         return d
 
 
+@json_reader("observer")
 def observer_from_json(d):
     json_object(d, "observer", ("alphabet", "nodes", "edges", "root", "subsets"))
     graph = graph_from_json(

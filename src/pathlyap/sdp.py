@@ -16,24 +16,28 @@ eigenvalue solve, never trusted from the optimizer state.
 ``jsr_upper_bound`` brackets the certifiable growth rate by bisection on
 rho, probing feasibility of the margin program, and returns the smallest
 feasible probe together with its independently re-verified certificate.
-The bracket's lower end is the anchor: the largest growth rate of a short
-product, rho(A_w)^(1/|w|) over every word up to the longest length whose
-word count stays within :data:`_ANCHOR_WORDS`.  No rate at or below the
-joint spectral radius has a certificate, so the anchor is infeasible on
-every graph without a probe.  The bracket is searched in log scale above
-the anchor (:func:`_log_midpoint`), so a bound that sits on a short product
-takes a handful of probes.  Bisection reads only the sign of each probe's
-margin, so its probes run ``solve_margin`` in sign-only mode, which stops
-each solve once the kernel has certified which side of
+Both ends of the bracket hold by construction.  The upper end starts where
+the identity assignment (the cold start) has a margin of at least twice
+:data:`FEASIBILITY_THRESHOLD`, so its probe is feasible, and it only moves
+onto feasible probes.  The lower end is the anchor: the largest growth rate
+of a short product, rho(A_w)^(1/|w|) over every word up to the longest
+length whose word count stays within :data:`_ANCHOR_WORDS`.  No rate at or
+below the joint spectral radius has a certificate, so the anchor is
+infeasible on every graph without a probe.  The bracket is searched in log
+scale above the anchor (:func:`_log_midpoint`), so a bound that sits on a
+short product takes a handful of probes.  Bisection reads only the sign of
+each probe's margin, so its probes run ``solve_margin`` in sign-only mode,
+which stops each solve once the kernel has certified which side of
 :data:`FEASIBILITY_THRESHOLD` the optimum lies on.  Every probe after the
 first resumes from the earlier probe nearest to it in rate: it starts at
 that probe's point and barrier weight, with the margin unknown lowered just
 enough to be strictly feasible at the new rate, so it skips the stages of
-the central path that probe already walked (``solve_margin``'s `start`).
-A start moves where a probe is decided, not what it decides.  The smallest
+the central path that probe already walked (``solve_margin``'s `start`).  A
+start moves where a probe is decided, not what it decides.  The smallest
 feasible probe is then solved once more in full, resumed the same way from
 its own probe, and the certificate comes from that solve; its margin is
-within the central-path gap K n mu_min of the optimum.
+within the central-path gap K n MU_MIN of the optimum
+(:data:`pathlyap._kernels.MU_MIN`).
 """
 
 import math
@@ -61,10 +65,6 @@ from .lyapunov import (
 # a probe counts as feasible only when its recomputed margin clears this
 FEASIBILITY_THRESHOLD = 1e-7
 
-# smallest starting rate for the upper seed: a margin is at most rho^2,
-# so a seed far below sqrt(FEASIBILITY_THRESHOLD) can never be certified
-_SEED_FLOOR = 1e-4
-_WIDEN_LIMIT = 8
 _BISECT_LIMIT = 200
 # most words enumerated for the anchor at the bracket's lower end
 _ANCHOR_WORDS = 1000
@@ -194,20 +194,11 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False, start=None):
         z0, mu0 = start.point.copy(), start.weight
         change = abs(float(problem.rho) ** 2 - float(start.rho) ** 2)
         if change:
-            held = np.eye(n) + np.tensordot(z0[:-1].reshape(nodes, p), basis,
-                                            axes=1)
+            held = np.array(list(start.assignment.values()))
             z0[-1] -= change * np.abs(np.linalg.eigvalsh(held)).max()
 
     z, iterations, code, weight = barrier_solve(
-        c0, local, index, z0,
-        mu0,      # initial barrier weight
-        1e-10,    # final barrier weight
-        0.05 if sign_only else 0.2,   # weight shrink per stage
-        1e-11,    # Newton decrement tolerance
-        80,       # Newton iterations per stage
-        0.25,     # Armijo slope fraction
-        0.5,      # backtracking shrink
-        1e-14,    # smallest line-search step
+        c0, local, index, z0, mu0, 0.05 if sign_only else 0.2,
         decide=FEASIBILITY_THRESHOLD if sign_only else None,
     )
 
@@ -276,8 +267,8 @@ class JsrBoundResult:
     is not the optimum.  certificate comes from a full
     solve at the bound, resumed from the point where the bound's probe
     stopped, re-verified; its margin is within the central-path gap
-    K n mu_min (K blocks of order n, final barrier weight mu_min = 1e-10)
-    of the optimum.
+    K n MU_MIN (K blocks of order n, final barrier weight
+    :data:`pathlyap._kernels.MU_MIN`) of the optimum.
     """
 
     rho_upper: float
@@ -301,11 +292,13 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
     words of up to L symbols, with L the longest length whose words number
     at most :data:`_ANCHOR_WORDS` (8 for two modes, 5 for three, 1 for one
     mode): no rate at or below the joint spectral radius can be certified,
-    so it needs no probe.  From above, the largest single-mode 2-norm
-    (padded 1%), where a common identity certificate works, floored at 1e-4
-    so that tiny or zero modes start at a rate whose margin can clear the
-    feasibility threshold.  The upper seed is widened up to 8 times if its
-    probe is infeasible.  Probes split the bracket in log scale above the
+    so it needs no probe.  From above, max(1.01 ||A||, (||A||^2 +
+    2 FEASIBILITY_THRESHOLD)^(1/2)) with ||A|| the largest single-mode
+    2-norm: there the identity assignment has margin min(1, rho^2 -
+    ||A||^2), at least twice the threshold, so this seed is feasible also
+    for tiny or zero modes, and its probe failing means the solver broke
+    down.  The upper end only moves onto feasible probes, so it is the
+    bound.  Probes split the bracket in log scale above the
     anchor (:func:`_log_midpoint`) until it is narrower than `tol`, so the
     returned bound is within `tol` of the largest infeasible rate, probed or
     the anchor.  Each probe after the first starts from the earlier probe
@@ -318,7 +311,8 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
     NotPathCompleteError on graphs with unreadable words unless
     `require_path_complete` is False, in which case it warns and bounds only
     what the graph reads (the bracket still starts at the system's anchor),
-    and NumericalError when the square of a probed rate overflows.
+    and NumericalError when the square of the upper seed overflows or a
+    solve breaks down.
     """
     if not math.isfinite(tol) or tol <= 0:
         raise ValueError("tol must be positive and finite")
@@ -335,9 +329,7 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
             stacklevel=2,
         )
 
-    trace = []
-    decided = []
-    best = [None]
+    solutions = []
 
     def solved(problem, start, sign_only=False):
         sol = solve_margin(problem, unknown_cap=cap, sign_only=sign_only,
@@ -354,34 +346,26 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
         return sol
 
     def probe(rho):
-        rho = float(rho)
-        if not math.isfinite(rho * rho):
-            raise NumericalError(f"rate {rho} squared overflows")
         problem = assemble_lmi(graph, system, rho)
         # resume from the earlier probe nearest in rate
-        start = min(decided, key=lambda s: abs(s.rho - rho), default=None)
+        start = min(solutions, key=lambda s: abs(s.rho - rho), default=None)
         sol = solved(problem, start, sign_only=True)
-        decided.append(sol)
-        trace.append((rho, float(sol.margin)))
-        feasible = sol.margin > FEASIBILITY_THRESHOLD
-        if feasible and (best[0] is None or rho < best[0][0]):
-            best[0] = (rho, problem, sol)
-        return feasible
+        solutions.append(sol)
+        return problem, sol
 
     anchor = lo = _anchor(system)
-    hi = max(1.01 * max(np.linalg.norm(a, 2) for a in system.modes.values()),
-             _SEED_FLOOR)
-
-    widened = 0
-    while not probe(hi):
-        widened += 1
-        if widened > _WIDEN_LIMIT:
-            raise NumericalError(
-                f"no feasible rate found up to {hi}; the margin solver "
-                "never produced a positive margin"
-            )
-        lo = hi
-        hi *= 2.0
+    # the identity assignment has margin min(1, hi^2 - norm^2), at least
+    # twice the threshold: hi is feasible, and every later probe lies below
+    norm = max(np.linalg.norm(a, 2) for a in system.modes.values())
+    hi = float(max(1.01 * norm,
+                   math.hypot(norm, math.sqrt(2.0 * FEASIBILITY_THRESHOLD))))
+    if not math.isfinite(hi * hi):
+        raise NumericalError(f"rate {hi} squared overflows")
+    bound = probe(hi)
+    if not bound[1].margin > FEASIBILITY_THRESHOLD:
+        raise NumericalError(
+            f"margin solve at rate {hi} missed the identity certificate"
+        )
 
     steps = 0
     while hi - lo > tol:
@@ -389,16 +373,17 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
         if steps > _BISECT_LIMIT:
             raise NumericalError("bisection failed to narrow the bracket")
         mid = _log_midpoint(lo, hi, anchor, tol)
-        if probe(mid):
-            hi = mid
+        candidate = probe(mid)
+        if candidate[1].margin > FEASIBILITY_THRESHOLD:
+            hi, bound = mid, candidate
         else:
             lo = mid
 
     # the probes only decided signs: certify the bound from a full solve,
     # resumed where the bound's probe stopped
-    rho_upper, problem, bound_probe = best[0]
+    problem, bound_probe = bound
     solution = solved(problem, bound_probe)
-    cert = QuadraticCertificate(graph, solution.assignment, rho_upper)
+    cert = QuadraticCertificate(graph, solution.assignment, hi)
     report = verify_certificate(cert, system)
     if not report.ok:
         raise NumericalError(
@@ -407,8 +392,8 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
         )
     cert.margin = report.margin
     return JsrBoundResult(
-        rho_upper=rho_upper,
+        rho_upper=hi,
         certificate=cert,
-        trace=tuple(trace),
+        trace=tuple((s.rho, float(s.margin)) for s in solutions),
         tolerance=float(tol),
     )

@@ -1,4 +1,8 @@
 import json
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +71,9 @@ def test_usage_errors_exit_two(demo_files, capsys):
     assert run(["no-such-command"]) == 2
 
 
+ONE_LOOP = {"alphabet": ["a"], "nodes": ["q"], "edges": [["q", "q", "a"]]}
+
+
 @pytest.mark.parametrize("argv, content", [
     (["covering", "validate", "{bad}"], 5),
     (["covering", "to-graph", "{bad}"], 5),
@@ -79,10 +86,28 @@ def test_usage_errors_exit_two(demo_files, capsys):
     (["covering", "validate", "{bad}"], {"alphabet": ["a"], "members": [5]}),
     (["covering", "validate", "{bad}"], {"alphabet": 5, "members": []}),
     (["covering", "to-graph", "{bad}"], {"alphabet": ["a"], "members": 5}),
+    # a nested field of the wrong type
+    (["covering", "validate", "{bad}"],
+     {"alphabet": ["a"], "members": [{"name": "x", "stem": 5}]}),
+    (["covering", "validate", "{bad}"],
+     {"alphabet": ["a"], "members": [{"name": "x", "automaton": dict(
+         ONE_LOOP, initial=5, accepting=["q"])}]}),
+    (["jsr", "lower", "--system", "{bad}", "--max-len", "2"],
+     {"alphabet": 5, "dimension": 1, "modes": {}}),
+    (["jsr", "lower", "--system", "{bad}", "--max-len", "2"],
+     {"alphabet": ["a"], "dimension": 1, "modes": 5}),
+    (["observer", "core", "{bad}"], dict(ONE_LOOP, root="q", subsets=5)),
+    (["observer", "core", "{bad}"],
+     dict(ONE_LOOP, root="q", subsets={"x": 5})),
+    (["certificate", "verify", "--certificate", "{bad}",
+      "--system", "{system}"],
+     {"graph": de_bruijn(("a", "b"), 1).to_json(), "rho": 5.0, "P": 5}),
 ], ids=["covering-validate", "covering-to-graph", "covering-from-graph",
         "jsr-upper-system", "jsr-lower-system", "observer-core",
         "certificate-verify", "covering-member", "covering-alphabet",
-        "covering-members"])
+        "covering-members", "member-stem", "member-initial",
+        "system-alphabet", "system-modes", "observer-subsets",
+        "observer-subset", "certificate-p"])
 def test_json_of_the_wrong_shape_exits_two(demo_files, tmp_path, capsys,
                                            argv, content):
     files = dict(demo_files, bad=write_json(tmp_path, "bad.json", content))
@@ -228,6 +253,15 @@ def test_bad_state_cap_environment_exits_two(demo_files, capsys, monkeypatch,
     assert run(["graph", "check", demo_files["db1"]]) == 2
     err = capsys.readouterr().err
     assert f"PATHLYAP_STATE_CAP must be a positive integer, got {env!r}" in err
+
+
+def test_de_bruijn_over_the_cap_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PATHLYAP_STATE_CAP", "8")
+    out = tmp_path / "g.json"
+    assert run(["graph", "debruijn", "-a", "a,b", "-k", "3",
+                "-o", str(out)]) == 0
+    assert run(["graph", "debruijn", "-a", "a,b", "-k", "4"]) == 3
+    assert "cap of 8 nodes" in capsys.readouterr().err
 
 
 def test_negative_state_cap_exits_two(demo_files, capsys):
@@ -436,3 +470,29 @@ def test_decrease_check_seed_reproducibility(demo_files, tmp_path, capsys):
     report = json.loads(first)
     assert report["failures"] == 0
     assert report["seed"] == 5
+
+
+# ---------------------------------------------------------------------------
+# the README's command line walk-through
+# ---------------------------------------------------------------------------
+
+def readme_walk_through():
+    """The command lines of the first fenced block under the README's
+    "Command line" heading, continuation lines joined."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split("### Command line", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [shlex.split(line)
+            for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_walk_through_runs(tmp_path, monkeypatch, capsys):
+    (tmp_path / "system.json").write_text(json.dumps(demo_system().to_json()))
+    monkeypatch.chdir(tmp_path)
+    for line in readme_walk_through():
+        assert line[0] in ("pathlyap", "python3"), shlex.join(line)
+        if line[0] == "pathlyap":
+            code = run(line[1:])
+        else:
+            code = subprocess.run([sys.executable] + line[1:]).returncode
+        assert code == 0, shlex.join(line)

@@ -169,6 +169,13 @@ def test_de_bruijn_order_zero_rejected():
         de_bruijn(("a", "b"), 0)
 
 
+def test_de_bruijn_node_cap(monkeypatch):
+    monkeypatch.setenv("PATHLYAP_STATE_CAP", "8")
+    assert len(de_bruijn(("a", "b"), 3).nodes) == 8
+    with pytest.raises(ResourceLimitError):
+        de_bruijn(("a", "b"), 4)
+
+
 def test_de_bruijn_multichar_symbols_stay_distinct():
     g = de_bruijn(("a", "aa"), 2)
     assert len(set(g.nodes)) == 4

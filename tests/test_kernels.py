@@ -11,6 +11,7 @@ that reordering can produce.
 import numpy as np
 import pytest
 
+import pathlyap._kernels as kernels
 from pathlyap._kernels import barrier_solve
 from pathlyap.fixtures import demo_system
 from pathlyap.graphs import LabeledGraph, de_bruijn
@@ -187,9 +188,8 @@ def test_matches_loop_kernel_record(name):
         assert np.allclose(sol.assignment[node], matrix, rtol=0.0, atol=P_TOL)
 
 
-# solve_margin's settings after z0: mu0, mu_min, mu_shrink, newton_tol,
-# max_newton, armijo_c, step_shrink, min_step
-SETTINGS = (1.0, 1e-10, 0.2, 1e-11, 80, 0.25, 0.5, 1e-14)
+# solve_margin's settings after z0 for a full solve: mu0, mu_shrink
+SETTINGS = (1.0, 0.2)
 
 
 def one_block():
@@ -237,11 +237,10 @@ def test_non_finite_start_is_refused_before_newton(bad):
     assert (iterations, status) == (0, 2)
 
 
-def test_newton_budget_exhausted():
+def test_newton_budget_exhausted(monkeypatch):
     c0, d, z0 = one_block()
-    settings = list(SETTINGS)
-    settings[4] = 1
-    _, iterations, status, _ = barrier_solve(c0, d, [[0, 1]], z0, *settings)
+    monkeypatch.setattr(kernels, "MAX_NEWTON", 1)
+    _, iterations, status, _ = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
     assert status == 1
     # one Newton step per barrier stage: mu runs 1, 0.2, ..., down to 1e-10
     assert iterations == 15
@@ -262,7 +261,7 @@ def test_feasible_exit_stops_once_the_margin_clears():
     assert iterations < full
 
 
-def test_infeasible_exit_returns_a_centred_stage_end():
+def test_infeasible_exit_returns_a_centred_stage_end(monkeypatch):
     c0, d, _ = one_block()
     z0 = np.array([0.5, -3.0])
     _, full, _, _ = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
@@ -272,33 +271,30 @@ def test_infeasible_exit_returns_a_centred_stage_end():
     assert iterations < full
     # at mu = 1 the gap bound already reads 1 < 1.05: the exit returns
     # exactly what a solve that stops after that stage returns
-    settings = list(SETTINGS)
-    settings[1] = 1.0
-    first_stage = barrier_solve(c0, d, [[0, 1]], z0, *settings)[:3]
+    monkeypatch.setattr(kernels, "MU_MIN", 1.0)
+    first_stage = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)[:3]
     assert np.array_equal(z, first_stage[0])
     assert (iterations, status) == first_stage[1:]
 
 
-def test_unconverged_stage_decides_nothing():
+def test_unconverged_stage_decides_nothing(monkeypatch):
     # one Newton step per stage from far below the central path: the
     # stage ends with t + K n mu < decide although the optimum is above it
     c0, d, _ = one_block()
-    settings = list(SETTINGS)
-    settings[4] = 1
+    monkeypatch.setattr(kernels, "MAX_NEWTON", 1)
     z, _, _, _ = barrier_solve(c0, d, [[0, 1]], np.array([0.0, -10.0]),
-                            *settings, decide=0.5)
+                            *SETTINGS, decide=0.5)
     assert z[1] > 0.5
 
 
-def test_stalled_line_search_decides_nothing():
+def test_stalled_line_search_decides_nothing(monkeypatch):
     # with min_step > 1 no step is ever tried, so every stage after the
     # first (where z0 is centred) ends on a stall at z0 = (0, -1), whose
     # t + K n mu falls below decide from mu = 0.2 on; the optimum t = 1 is
     # above decide, so a stalled stage end must not give a verdict
     c0, d, z0 = one_block()
-    settings = list(SETTINGS)
-    settings[7] = 2.0
-    z, iterations, status, mu = barrier_solve(c0, d, [[0, 1]], z0, *settings,
+    monkeypatch.setattr(kernels, "MIN_STEP", 2.0)
+    z, iterations, status, mu = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS,
                                               decide=0.5)
     assert np.array_equal(z, z0)
     # no exit: one Newton step in each of the 15 stages, down to the last

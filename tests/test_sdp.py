@@ -285,6 +285,38 @@ def test_jsr_zero_modes_widen_from_floor():
     assert any(t <= FEASIBILITY_THRESHOLD for _, t in res.trace)
 
 
+# from 1e4 on, an edge slack (of order rho^2) passes the verifier only
+# with a smallest eigenvalue above 1e-9 rho^2 > 1, but a node block caps
+# the margin at 1 (the trace of each P is pinned to n): no bound verifies
+LARGE_SCALES = [
+    pytest.param(10.0 ** k, marks=pytest.mark.xfail(
+        strict=True, raises=NumericalError,
+        reason="margin capped below the verifier's relative tolerance"))
+    for k in range(4, 7)
+]
+
+
+@pytest.mark.parametrize("graph", ["one-node", "de-bruijn-1"])
+@pytest.mark.parametrize(
+    "scale", [0.0] + [10.0 ** k for k in range(-12, 4)] + LARGE_SCALES)
+def test_first_probe_is_feasible_at_every_scale(graph, scale):
+    # the upper seed is feasible by construction, also for modes so small
+    # that no rate near their norm has a margin above the threshold
+    system = demo_system()
+    system = SwitchedLinearSystem(
+        system.alphabet, system.dimension,
+        {h: scale * a for h, a in system.modes.items()},
+    )
+    if graph == "one-node":
+        graph = LabeledGraph(system.alphabet, ("n",),
+                             [("n", "n", h) for h in system.alphabet])
+    else:
+        graph = de_bruijn(system.alphabet, 1)
+    res = jsr_upper_bound(graph, system, tol=1e-4 * max(1.0, scale))
+    assert res.trace[0][1] > FEASIBILITY_THRESHOLD
+    assert verify_certificate(res.certificate, system).ok
+
+
 def test_jsr_large_tolerance_keeps_the_norm_seed():
     system = demo_system()
     seed = 1.01 * max(np.linalg.norm(a, 2) for a in system.modes.values())
@@ -398,6 +430,9 @@ def test_warm_probes_change_no_bound(monkeypatch, seed):
     cold = jsr_upper_bound(graph, system, tol=1e-4)
     assert [r for r, _ in warm.trace] == [r for r, _ in cold.trace]
     assert warm.rho_upper == cold.rho_upper
+    # the bracket's upper end only moves onto a feasible probe
+    feasible = [r for r, t in warm.trace if t > FEASIBILITY_THRESHOLD]
+    assert warm.rho_upper == feasible[-1] == min(feasible)
 
 
 @pytest.mark.parametrize("case", ["demo-db1", "wide-db1"])
