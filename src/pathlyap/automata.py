@@ -12,6 +12,7 @@ from operator import and_
 
 from .errors import (
     DEFAULT_DETERMINIZE_CAP,
+    json_array,
     json_object,
     json_reader,
     state_cap,
@@ -75,7 +76,9 @@ def automaton_from_json(data: dict) -> Automaton:
     graph = graph_from_json(
         {k: data[k] for k in ("alphabet", "nodes", "edges")}
     )
-    return Automaton(graph, frozenset(data["initial"]), frozenset(data["accepting"]))
+    initial = frozenset(json_array(data["initial"], "automaton 'initial'"))
+    accepting = frozenset(json_array(data["accepting"], "automaton 'accepting'"))
+    return Automaton(graph, initial, accepting)
 
 
 @dataclass(frozen=True)

@@ -164,21 +164,13 @@ def _cmd_covering_validate(args):
 
 
 def _cmd_covering_to_graph(args):
-    from .covering import (
-        covering_from_json,
-        covering_to_graph,
-        validate_covering,
-    )
+    from .covering import covering_from_json, validate_covering
 
-    family = covering_from_json(_load(args.covering))
-    try:
-        g, _ = covering_to_graph(family)
-    except ValueError:
-        # covering_to_graph raises on an invalid family; only then is the
-        # report (and with it the edge table) worth building a second time
-        report = validate_covering(family)
+    report = validate_covering(covering_from_json(_load(args.covering)))
+    if not report.ok:
         _emit(args, report.to_json(), _covering_report_lines(report))
         return 1
+    g = report.graph
     _emit(args, g.to_json(),
           [f"graph: {len(g.nodes)} nodes, {len(g.edges)} edges"])
     return 0

@@ -3,10 +3,12 @@
 A covering family is a finite list of regular languages over the switching
 alphabet satisfying two conditions: together the members cover every finite
 word, and prepending any symbol to any member lands inside at least one
-member.  Such a family induces a labeled graph (one node per member, one
-edge per containment), and conversely the observer construction turns any
-path-complete graph into a covering family; the two translations invert
-each other on the observer's node languages.
+member.  Such a family induces a labeled graph, one node per member and one
+edge per containment, and a validation yields that graph together with its
+verdict: the family is prepend-closed exactly when its graph is complete.
+Conversely the observer construction turns any path-complete graph into a
+covering family; the two translations invert each other on the observer's
+node languages.
 """
 
 from dataclasses import dataclass
@@ -24,6 +26,7 @@ from .automata import (
 )
 from .errors import (
     DEFAULT_DETERMINIZE_CAP,
+    json_array,
     json_object,
     json_reader,
     state_cap,
@@ -35,6 +38,7 @@ from .graphs import (
     _word_name,
     _word_to,
     dual,
+    is_complete,
 )
 from .observer import ObserverGraph, observer_graph
 
@@ -90,16 +94,13 @@ class CoveringFamily:
 @json_reader("covering")
 def covering_from_json(d):
     json_object(d, "covering", ("alphabet", "members"))
-    for key in ("alphabet", "members"):
-        if not isinstance(d[key], list):
-            raise ValueError(f"covering {key!r} must be a list")
-    alphabet = tuple(d["alphabet"])
+    alphabet = tuple(json_array(d["alphabet"], "covering 'alphabet'"))
     members = []
-    for entry in d["members"]:
+    for entry in json_array(d["members"], "covering 'members'"):
         keys = set(json_object(entry, "covering member", ("name",),
                                ("stem", "automaton")))
         if keys == {"name", "stem"}:
-            stem = tuple(entry["stem"])
+            stem = tuple(json_array(entry["stem"], "covering member 'stem'"))
             auto = prefix_class_automaton(PrefixClass(alphabet, stem))
             members.append(CoveringMember(entry["name"], auto, stem=stem))
         elif keys == {"name", "automaton"}:
@@ -115,10 +116,32 @@ def covering_from_json(d):
 
 @dataclass
 class CoveringReport:
-    covers_all_words: bool
+    """The verdict on a covering family and the two results it is read from.
+
+    `uncovered_witness` is the shortlex-first word no member accepts, or
+    None.  `graph` has one node per member, in member order, and an edge
+    (B, C, h) for every containment h·L(B) ⊆ L(C), whether or not the family
+    is valid; the family is prepend-closed exactly when `graph` is complete.
+    """
+
     uncovered_witness: tuple
-    prepend_closed: bool
-    unclosed_pairs: tuple
+    graph: LabeledGraph
+
+    @property
+    def covers_all_words(self):
+        return self.uncovered_witness is None
+
+    @property
+    def unclosed_pairs(self):
+        """(member, symbol) pairs with no out-edge, in member, then alphabet
+        order."""
+        targets = self.graph.out_map()
+        return tuple((name, h) for name in self.graph.nodes
+                     for h in self.graph.alphabet if (name, h) not in targets)
+
+    @property
+    def prepend_closed(self):
+        return is_complete(self.graph)
 
     @property
     def ok(self):
@@ -136,10 +159,9 @@ class CoveringReport:
         }
 
 
-def _validate_with_table(c, cap=None):
-    """validate_covering's report together with the edge table, which maps
-    (member name, symbol) to the names of all members containing the
-    prepended language.
+def validate_covering(c, cap=None):
+    """Decide both covering conditions; the report holds the uncovered
+    witness and the containment graph.
 
     By the left quotient, h·L(B) ⊆ L(C) iff C started from its h-successors
     accepts every word of L(B).  One `_explore_subsets` run per symbol h
@@ -162,7 +184,7 @@ def _validate_with_table(c, cap=None):
     steps, initial, finals = _parts([m.automaton for m in c.members])
     bits = [1 << k for k in range(n)]
     witness = None
-    kept = {}
+    edges = []
     for i, h in enumerate(c.alphabet):
         stepped = tuple(part[i][mask] for part, mask in zip(steps, initial))
         parent, _ = _explore_subsets(
@@ -180,25 +202,9 @@ def _validate_with_table(c, cap=None):
             inside = sum(compress(bits, map(and_, state[n:], finals)))
             for k in compress(range(n), map(and_, state, finals)):
                 targets[k] &= inside
-        kept[h] = targets
-    table = {
-        (names[k], h): tuple(_members(names, kept[h][k]))
-        for k in range(n)
-        for h in c.alphabet
-    }
-    unclosed = tuple(pair for pair, targets in table.items() if not targets)
-    report = CoveringReport(
-        covers_all_words=witness is None,
-        uncovered_witness=witness,
-        prepend_closed=not unclosed,
-        unclosed_pairs=unclosed,
-    )
-    return report, table
-
-
-def validate_covering(c, cap=None):
-    """Check both covering conditions and report witnesses for failures."""
-    return _validate_with_table(c, cap=cap)[0]
+        edges += [(names[k], target, h) for k in range(n)
+                  for target in _members(names, targets[k])]
+    return CoveringReport(witness, LabeledGraph(c.alphabet, names, edges))
 
 
 def _require_valid(report):
@@ -217,22 +223,12 @@ def _require_valid(report):
 
 
 def covering_to_graph(c, cap=None):
-    """Translate a valid covering family into its labeled graph.
-
-    One node per member; an edge (B, C, h) for every containment of the
-    h-prepended member B inside member C, keeping all containments when
-    several hold.  Returns the graph together with the node-to-member map.
-    """
-    report, table = _validate_with_table(c, cap=cap)
+    """The containment graph of a valid covering family, with the
+    node-to-member map; a ValueError naming the failing condition for an
+    invalid one."""
+    report = validate_covering(c, cap=cap)
     _require_valid(report)
-    edges = [
-        (source, target, symbol)
-        for (source, symbol), targets in table.items()
-        for target in targets
-    ]
-    graph = LabeledGraph(c.alphabet, tuple(m.name for m in c.members), edges)
-    phi = {m.name: m for m in c.members}
-    return graph, phi
+    return report.graph, {m.name: m for m in c.members}
 
 
 def observer_to_covering(g, cap=None):

@@ -59,6 +59,15 @@ def json_object(data, what, required, optional=()):
     return data
 
 
+def json_array(data, what):
+    """`data`, once checked to be a JSON array; a ValueError that names
+    `what` otherwise.  A string is not an array: read as one, it would be
+    split into its characters."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a JSON array")
+    return data
+
+
 def json_reader(what):
     """Decorator for the reader of the `what` JSON form: a nested field of
     the wrong type, which surfaces inside the reader as a TypeError or

@@ -17,6 +17,7 @@ from .errors import (
     DEFAULT_SUBSET_CAP,
     DEFAULT_WORD_CAP,
     ResourceLimitError,
+    json_array,
     json_object,
     json_reader,
     state_cap,
@@ -92,9 +93,10 @@ class LabeledGraph:
 def graph_from_json(data: dict) -> LabeledGraph:
     """Parse the graph JSON form; unknown keys are rejected."""
     json_object(data, "graph", ("alphabet", "nodes", "edges"))
-    alphabet = tuple(data["alphabet"])
-    nodes = tuple(data["nodes"])
-    edges = [tuple(e) for e in data["edges"]]
+    alphabet = tuple(json_array(data["alphabet"], "graph 'alphabet'"))
+    nodes = tuple(json_array(data["nodes"], "graph 'nodes'"))
+    edges = [tuple(json_array(e, "graph edge"))
+             for e in json_array(data["edges"], "graph 'edges'")]
     if any(len(e) != 3 for e in edges):
         raise ValueError("edges must be [source, dest, label] triples")
     return LabeledGraph(alphabet, nodes, edges)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import json_object, json_reader
+from .errors import json_array, json_object, json_reader
 
 ASYMMETRY_CAP = 1e-8
 EIG_REL_TOL = 1e-9
@@ -81,9 +81,10 @@ class SwitchedLinearSystem:
 @json_reader("system")
 def system_from_json(d):
     json_object(d, "system", ("alphabet", "dimension", "modes"))
-    return SwitchedLinearSystem(
-        tuple(d["alphabet"]), int(d["dimension"]), dict(d["modes"])
-    )
+    alphabet = tuple(json_array(d["alphabet"], "system 'alphabet'"))
+    # exactly one matrix per symbol, keyed by the symbol
+    modes = json_object(d["modes"], "system 'modes'", alphabet)
+    return SwitchedLinearSystem(alphabet, int(d["dimension"]), dict(modes))
 
 
 @dataclass(eq=False)

@@ -14,6 +14,7 @@ from operator import methodcaller
 from .errors import (
     InvariantViolation,
     NotPathCompleteError,
+    json_array,
     json_object,
     json_reader,
     state_cap,
@@ -69,7 +70,7 @@ def observer_from_json(d):
         {"alphabet": d["alphabet"], "nodes": d["nodes"], "edges": d["edges"]}
     )
     subset_map = {
-        name: ObserverNode(frozenset(members))
+        name: ObserverNode(frozenset(json_array(members, "observer subset")))
         for name, members in d["subsets"].items()
     }
     if set(subset_map) != set(graph.nodes):
@@ -116,10 +117,11 @@ def observer_core(obs):
     """Restrict an observer to its unique terminal strongly connected
     component, the part every long enough run settles into.
 
-    The result is returned as a plain LabeledGraph.  Uniqueness of the
-    terminal component, and its closure under all transitions, are verified
-    and raise InvariantViolation if they fail; for graphs produced by
-    observer_graph they always hold.
+    The result is returned as a plain LabeledGraph.  A component counts as
+    terminal only when every edge leaving its nodes stays inside it, so the
+    core is closed under all transitions by construction.  Its uniqueness is
+    verified and raises InvariantViolation if it fails; for graphs produced
+    by observer_graph it always holds.
     """
     g = obs.graph
     succ = {node: [] for node in g.nodes}
@@ -142,11 +144,6 @@ def observer_core(obs):
             f"expected exactly one terminal component, found {len(terminal)}"
         )
     core_nodes = terminal[0]
-
-    for p, q, h in g.edges:
-        if p in core_nodes and q not in core_nodes:
-            raise InvariantViolation(f"core is not closed under ({p},{h})")
-
     kept_edges = [(p, q, h) for p, q, h in g.edges if p in core_nodes]
     kept_names = tuple(n for n in g.nodes if n in core_nodes)
     return LabeledGraph(g.alphabet, kept_names, kept_edges)

@@ -128,8 +128,7 @@ def _structure_walk(structure):
 
 
 def trajectory_decrease_check(w_fn, structure, sys, rho_prime, trials=100,
-                              horizon=20, seed=None, tolerance=1e-9,
-                              initial_states=None):
+                              horizon=20, seed=None, tolerance=1e-9):
     """Sample trajectories and check the scaled decrease along member chains.
 
     Each trial draws x0 and a word of length `horizon`, walks the member
@@ -142,8 +141,7 @@ def trajectory_decrease_check(w_fn, structure, sys, rho_prime, trials=100,
     well, with ratio the worst upper-to-lower quadratic constant.
 
     A missing successor is an InvariantViolation: validated coverings and
-    observers always have one.  `initial_states` overrides the sampled x0
-    values (and the trial count) for directed probing.
+    observers always have one.
     """
     if not math.isfinite(rho_prime):
         raise ValueError("rho_prime must be finite")
@@ -179,19 +177,13 @@ def trajectory_decrease_check(w_fn, structure, sys, rho_prime, trials=100,
 
     used_seed = DEFAULT_SEED if seed is None else int(seed)
     rng = np.random.default_rng(used_seed)
-    if initial_states is not None:
-        initial_states = [np.asarray(x, dtype=float) for x in initial_states]
-        trials = len(initial_states)
 
     alphabet = graph.alphabet
     violations = []
     worst = math.inf
     failures = 0
     for trial in range(int(trials)):
-        if initial_states is not None:
-            x0 = initial_states[trial]
-        else:
-            x0 = rng.standard_normal(sys.dimension)
+        x0 = rng.standard_normal(sys.dimension)
         word = tuple(
             alphabet[i]
             for i in rng.integers(0, len(alphabet), size=int(horizon))

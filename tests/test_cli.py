@@ -11,6 +11,7 @@ from pathlyap.cli import run
 from pathlyap.fixtures import de_bruijn_1_graph, demo_system, mixed_horizon_graph
 from pathlyap.graphs import de_bruijn, dual
 from test_graphs import lonely_loop
+from test_observer import TWO_TERMINAL_OBSERVER
 from test_simulate import huge_entry_system
 
 
@@ -72,6 +73,10 @@ def test_usage_errors_exit_two(demo_files, capsys):
 
 
 ONE_LOOP = {"alphabet": ["a"], "nodes": ["q"], "edges": [["q", "q", "a"]]}
+# two looped nodes named "q" and "0": a string "q0" read as an array would
+# name both
+TWO_LOOPS = {"alphabet": ["a"], "nodes": ["q", "0"],
+             "edges": [["q", "q", "a"], ["0", "0", "a"]]}
 
 
 @pytest.mark.parametrize("argv, content", [
@@ -102,12 +107,41 @@ ONE_LOOP = {"alphabet": ["a"], "nodes": ["q"], "edges": [["q", "q", "a"]]}
     (["certificate", "verify", "--certificate", "{bad}",
       "--system", "{system}"],
      {"graph": de_bruijn(("a", "b"), 1).to_json(), "rho": 5.0, "P": 5}),
+    # a string where an array is required, which reads as its characters
+    (["graph", "check", "{bad}"],
+     {"alphabet": "ab", "nodes": ["q"],
+      "edges": [["q", "q", "a"], ["q", "q", "b"]]}),
+    (["graph", "check", "{bad}"],
+     {"alphabet": ["a"], "nodes": "xy",
+      "edges": [["x", "x", "a"], ["y", "y", "a"]]}),
+    (["graph", "check", "{bad}"],
+     {"alphabet": ["a"], "nodes": ["x"], "edges": ["xxa"]}),
+    (["covering", "validate", "{bad}"],
+     {"alphabet": ["a", "b"],
+      "members": [{"name": "x", "stem": "ab"}, {"name": "all", "stem": []}]}),
+    (["covering", "validate", "{bad}"],
+     {"alphabet": ["a"], "members": [{"name": "x", "automaton": dict(
+         TWO_LOOPS, initial="q0", accepting=["q"])}]}),
+    (["covering", "validate", "{bad}"],
+     {"alphabet": ["a"], "members": [{"name": "x", "automaton": dict(
+         TWO_LOOPS, initial=["q"], accepting="q0")}]}),
+    (["observer", "core", "{bad}"],
+     {"alphabet": ["a"], "nodes": ["{x}"], "edges": [["{x}", "{x}", "a"]],
+      "root": "{x}", "subsets": {"{x}": "xy"}}),
+    (["jsr", "lower", "--system", "{bad}", "--max-len", "2"],
+     {"alphabet": "ab", "dimension": 1, "modes": {"a": [[1]], "b": [[1]]}}),
+    (["jsr", "lower", "--system", "{bad}", "--max-len", "2"],
+     {"alphabet": ["a"], "dimension": 1, "modes": [["a", [[1]]]]}),
 ], ids=["covering-validate", "covering-to-graph", "covering-from-graph",
         "jsr-upper-system", "jsr-lower-system", "observer-core",
         "certificate-verify", "covering-member", "covering-alphabet",
         "covering-members", "member-stem", "member-initial",
         "system-alphabet", "system-modes", "observer-subsets",
-        "observer-subset", "certificate-p"])
+        "observer-subset", "certificate-p", "graph-alphabet-string",
+        "graph-nodes-string", "graph-edge-string", "member-stem-string",
+        "member-initial-string", "member-accepting-string",
+        "observer-subset-string", "system-alphabet-string",
+        "system-modes-pairs"])
 def test_json_of_the_wrong_shape_exits_two(demo_files, tmp_path, capsys,
                                            argv, content):
     files = dict(demo_files, bad=write_json(tmp_path, "bad.json", content))
@@ -150,6 +184,13 @@ def test_observer_build_and_core(demo_files, tmp_path, capsys):
     core = json.loads(core_file.read_text())
     assert len(core["nodes"]) == 2
     assert len(core["edges"]) == 4
+
+
+def test_observer_core_of_two_terminal_components_exits_three(tmp_path,
+                                                             capsys):
+    obs = write_json(tmp_path, "obs.json", TWO_TERMINAL_OBSERVER)
+    assert run(["observer", "core", obs]) == 3
+    assert "exactly one terminal component" in capsys.readouterr().err
 
 
 def test_observer_build_rejects_incomplete_graph(demo_files, capsys):

@@ -5,7 +5,11 @@ from conftest import prepend_symbol, random_path_complete_graph
 from oracles import nfa_accepts, words_up_to
 from pathlyap.automata import accepts, language_includes
 from pathlyap.covering import covering_to_graph, observer_to_covering
-from pathlyap.errors import NotPathCompleteError, ResourceLimitError
+from pathlyap.errors import (
+    InvariantViolation,
+    NotPathCompleteError,
+    ResourceLimitError,
+)
 from pathlyap.graphs import LabeledGraph, de_bruijn, is_complete, is_deterministic
 from pathlyap.observer import (
     ObserverNode,
@@ -14,6 +18,13 @@ from pathlyap.observer import (
     observer_graph,
 )
 from test_graphs import mixed_horizon, lonely_loop
+
+# two disjoint looped nodes, so two terminal components
+TWO_TERMINAL_OBSERVER = {
+    "alphabet": ["a"], "nodes": ["{p}", "{q}"],
+    "edges": [["{p}", "{p}", "a"], ["{q}", "{q}", "a"]],
+    "root": "{p}", "subsets": {"{p}": ["p"], "{q}": ["q"]},
+}
 
 DB1_OBSERVER_EDGES = {
     ("{[a],[b]}", "{[a]}", "a"),
@@ -120,6 +131,12 @@ def test_core_of_single_node_observer_is_itself():
     obs = observer_graph(g)
     core = observer_core(obs)
     assert core == obs.graph
+
+
+def test_core_needs_one_terminal_component():
+    obs = observer_from_json(TWO_TERMINAL_OBSERVER)
+    with pytest.raises(InvariantViolation, match="found 2"):
+        observer_core(obs)
 
 
 # ---------------------------------------------------------------------------

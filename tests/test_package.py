@@ -82,6 +82,16 @@ def test_every_export_is_its_submodule_object():
     assert callable(pathlyap.simulate)
 
 
+def test_every_json_reader_turns_type_errors_into_input_errors():
+    # errors.json_reader makes a nested field of the wrong type exit 2, not
+    # end in a traceback
+    readers = [name for name in pathlyap.__all__
+               if name.endswith("_from_json")]
+    assert len(readers) >= 6
+    for name in readers:
+        assert hasattr(getattr(pathlyap, name), "__wrapped__"), name
+
+
 def test_star_import_gives_the_same_public_names():
     # in a fresh interpreter: a submodule imported earlier, such as `cli`,
     # is bound onto the package and would leak into a star import there

@@ -223,17 +223,6 @@ def test_decrease_flags_corrupted_certificate():
     assert all(v["word"] for v in report.violations)
 
 
-def test_zero_start_is_trivially_fine():
-    bound, obs, lifted = certified_pipeline()
-    report = trajectory_decrease_check(
-        lifted, obs, demo_system(), rho_prime=1.01 * bound.rho_upper,
-        trials=5, horizon=10, initial_states=[np.zeros(2)],
-    )
-    assert report.trials == 1
-    assert report.passes == 1
-    assert report.failures == 0
-
-
 def test_decrease_check_of_a_huge_rate():
     # rho_prime^(k+1) overflows a float from k = 1 on; the scaled states
     # underflow to 0 instead, which satisfies every bound

@@ -21,7 +21,7 @@ from conftest import (
     union_automaton,
 )
 from oracles import enumerate_unreadable, nfa_accepts, word_is_readable, words_up_to
-from pathlyap import automata, covering, graphs
+from pathlyap import automata, cli, covering, graphs
 from pathlyap.automata import (
     Automaton,
     PrefixClass,
@@ -32,7 +32,6 @@ from pathlyap.automata import (
 from pathlyap.covering import (
     CoveringFamily,
     CoveringMember,
-    _validate_with_table,
     covering_from_json,
     observer_to_covering,
     prefix_covering,
@@ -234,11 +233,37 @@ def test_validation_explores_once_per_symbol(monkeypatch, fam):
                      "_successor_steps": 1}
 
 
+@pytest.mark.parametrize("stems", [
+    [["a", "a"], ["a", "b"]],
+    [["a"], ["b", "a", "a"], ["b", "a", "b"], ["b", "b"]],
+], ids=["not-covering", "not-prepend-closed"])
+def test_to_graph_command_validates_once(monkeypatch, tmp_path, capsys, stems):
+    """`covering to-graph` reports an invalid family from the one
+    validation it runs: one subset exploration per symbol."""
+    calls = 0
+    original = covering._explore_subsets
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(covering, "_explore_subsets", counted)
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({
+        "alphabet": list(AB),
+        "members": [{"name": "".join(s), "stem": s} for s in stems],
+    }))
+    assert cli.run(["covering", "to-graph", str(path)]) == 1
+    assert "false" in capsys.readouterr().out
+    assert calls == len(AB)
+
+
 def test_edge_table_matches_pairwise_inclusion():
     """Shared, equal-but-distinct and distinct member graphs in one family:
     the table lists exactly the members C with h·L(B) ⊆ L(C)."""
     fam = mixed_family()
-    table = _validate_with_table(fam)[1]
+    table = validate_covering(fam).graph.out_map()
     for source in fam.members:
         for h in fam.alphabet:
             lifted = prepend_symbol(h, source.automaton)
@@ -246,7 +271,7 @@ def test_edge_table_matches_pairwise_inclusion():
                 t.name for t in fam.members
                 if language_includes(lifted, t.automaton)
             )
-            assert table[(source.name, h)] == expected, (source.name, h)
+            assert table.get((source.name, h), ()) == expected, (source.name, h)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +283,12 @@ def test_edge_table_matches_pairwise_inclusion():
     (lambda cap: find_unreadable_word(pc_graph(), cap=cap), 11),
     (lambda cap: find_unreadable_word(thin_graph(), cap=cap), 9),
     (lambda cap: observer_graph(pc_graph(), cap=cap), 11),
-    (lambda cap: _validate_with_table(observer_to_covering(pc_graph()), cap=cap), 30),
-    (lambda cap: _validate_with_table(mixed_family(), cap=cap), 23),
+    (lambda cap: validate_covering(mixed_family(), cap=cap), 23),
     (lambda cap: validate_covering(observer_to_covering(pc_graph()), cap=cap), 30),
     (lambda cap: validate_covering(
         CoveringFamily(AB, mixed_family().members[:-1]), cap=cap), 23),
 ], ids=["unreadable-complete", "unreadable-thin", "observer",
-        "edge-table-observer", "edge-table-mixed", "validate-covering",
+        "edge-table-mixed", "validate-covering",
         "validate-not-covering"])
 def test_cap_threshold(run, n):
     run(n)
