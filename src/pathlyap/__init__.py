@@ -39,7 +39,6 @@ _EXPORTS = {
     ),
     "automata": (
         "Automaton",
-        "PrefixClass",
         "accepts",
         "automaton_from_json",
         "language_includes",
@@ -48,7 +47,6 @@ _EXPORTS = {
     ),
     "observer": (
         "ObserverGraph",
-        "ObserverNode",
         "observer_core",
         "observer_from_json",
         "observer_graph",

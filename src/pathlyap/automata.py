@@ -2,7 +2,9 @@
 
 Words are tuples of symbols consumed left to right, with index 0 holding the
 most recent symbol (the prepend convention: extending a memory word by a new
-symbol h yields (h,) + word).  All constructions are epsilon-free.
+symbol h yields (h,) + word).  All constructions are epsilon-free.  A prefix
+class is given by its alphabet and stem alone, and
+`prefix_class_automaton(alphabet, stem)` builds its chain automaton.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from operator import and_
 
 from .errors import (
     DEFAULT_DETERMINIZE_CAP,
-    json_array,
     json_object,
     json_reader,
+    json_strings,
     state_cap,
 )
 from .graphs import (
@@ -28,7 +30,6 @@ from .graphs import (
 
 __all__ = [
     "Automaton",
-    "PrefixClass",
     "automaton_from_json",
     "accepts",
     "prefix_class_automaton",
@@ -76,39 +77,25 @@ def automaton_from_json(data: dict) -> Automaton:
     graph = graph_from_json(
         {k: data[k] for k in ("alphabet", "nodes", "edges")}
     )
-    initial = frozenset(json_array(data["initial"], "automaton 'initial'"))
-    accepting = frozenset(json_array(data["accepting"], "automaton 'accepting'"))
+    initial = frozenset(json_strings(data["initial"], "automaton 'initial'"))
+    accepting = frozenset(json_strings(data["accepting"], "automaton 'accepting'"))
     return Automaton(graph, initial, accepting)
 
 
-@dataclass(frozen=True)
-class PrefixClass:
-    """Words agreeing with the stem on their first K symbols where defined.
-
-    Every prefix class contains ε and all (strict) prefixes of its stem; an
-    empty stem denotes the full language.
-    """
-
-    alphabet: tuple
-    stem: tuple
-
-    def __post_init__(self):
-        alphabet = tuple(self.alphabet)
-        stem = tuple(self.stem)
-        if any(s not in alphabet for s in stem):
-            raise ValueError("stem symbols must come from the alphabet")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "stem", stem)
-
-
-def prefix_class_automaton(p: PrefixClass) -> Automaton:
-    """Chain automaton for a prefix class: K+1 states, all accepting, the
-    last state absorbing every symbol."""
-    k = len(p.stem)
+def prefix_class_automaton(alphabet, stem) -> Automaton:
+    """Chain automaton for the prefix class of `stem`: the words agreeing
+    with the stem on their first K symbols where defined.  Every prefix
+    class contains ε and all (strict) prefixes of its stem; an empty stem
+    denotes the full language.  K+1 states, all accepting, the last state
+    absorbing every symbol."""
+    alphabet = tuple(alphabet)
+    if any(s not in alphabet for s in stem):
+        raise ValueError("stem symbols must come from the alphabet")
+    k = len(stem)
     states = tuple(f"q{i}" for i in range(k + 1))
-    edges = [(states[i], states[i + 1], p.stem[i]) for i in range(k)]
-    edges += [(states[k], states[k], h) for h in p.alphabet]
-    graph = LabeledGraph(p.alphabet, states, edges)
+    edges = [(states[i], states[i + 1], stem[i]) for i in range(k)]
+    edges += [(states[k], states[k], h) for h in alphabet]
+    graph = LabeledGraph(alphabet, states, edges)
     return Automaton(graph, frozenset({states[0]}), frozenset(states))
 
 

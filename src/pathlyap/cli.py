@@ -287,7 +287,7 @@ def _cmd_decrease_check(args):
     system = system_from_json(_load(args.system))
     lifted = lift_certificate(cert, obs)
     rho_prime = (args.rho_prime if args.rho_prime is not None
-                 else args.rho_factor * cert.rho)
+                 else 1.01 * cert.rho)
     report = trajectory_decrease_check(
         lifted, obs, system, rho_prime=rho_prime, trials=args.trials,
         horizon=args.horizon, seed=args.seed, tolerance=args.tolerance,
@@ -408,11 +408,9 @@ def build_parser():
     p.add_argument("--certificate", required=True)
     p.add_argument("--observer", required=True)
     p.add_argument("--system", required=True)
-    p.add_argument("--rho-prime", type=float, default=None, dest="rho_prime")
-    p.add_argument("--rho-factor", type=float, default=1.01,
-                   dest="rho_factor",
-                   help="rho_prime as a multiple of the certified rate "
-                        "(default 1.01), ignored when --rho-prime is given")
+    p.add_argument("--rho-prime", type=float, default=None, dest="rho_prime",
+                   help="scaled rate to check against (default 1.01 times "
+                        "the certified rate)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--horizon", type=int, default=20)
     p.add_argument("--seed", type=int, default=None)

@@ -17,7 +17,6 @@ from operator import and_
 
 from .automata import (
     Automaton,
-    PrefixClass,
     _parts,
     automaton_from_json,
     language_includes,  # unused here; perfbench/tracing.py wraps this name
@@ -29,6 +28,8 @@ from .errors import (
     json_array,
     json_object,
     json_reader,
+    json_string,
+    json_strings,
     state_cap,
 )
 from .graphs import (
@@ -40,7 +41,8 @@ from .graphs import (
     dual,
     is_complete,
 )
-from .observer import ObserverGraph, observer_graph
+# unused here; perfbench/tracing.py wraps this name
+from .observer import observer_graph
 
 
 @dataclass(frozen=True)
@@ -94,18 +96,19 @@ class CoveringFamily:
 @json_reader("covering")
 def covering_from_json(d):
     json_object(d, "covering", ("alphabet", "members"))
-    alphabet = tuple(json_array(d["alphabet"], "covering 'alphabet'"))
+    alphabet = tuple(json_strings(d["alphabet"], "covering 'alphabet'"))
     members = []
     for entry in json_array(d["members"], "covering 'members'"):
         keys = set(json_object(entry, "covering member", ("name",),
                                ("stem", "automaton")))
+        name = json_string(entry["name"], "covering member 'name'")
         if keys == {"name", "stem"}:
-            stem = tuple(json_array(entry["stem"], "covering member 'stem'"))
-            auto = prefix_class_automaton(PrefixClass(alphabet, stem))
-            members.append(CoveringMember(entry["name"], auto, stem=stem))
+            stem = tuple(json_strings(entry["stem"], "covering member 'stem'"))
+            auto = prefix_class_automaton(alphabet, stem)
+            members.append(CoveringMember(name, auto, stem=stem))
         elif keys == {"name", "automaton"}:
             auto = automaton_from_json(entry["automaton"])
-            members.append(CoveringMember(entry["name"], auto))
+            members.append(CoveringMember(name, auto))
         else:
             raise ValueError(
                 "covering member needs exactly 'name' plus one of "
@@ -231,19 +234,16 @@ def covering_to_graph(c, cap=None):
     return report.graph, {m.name: m for m in c.members}
 
 
-def observer_to_covering(g, cap=None):
-    """Covering family made of the observer's node languages.
+def observer_to_covering(obs):
+    """Covering family made of the node languages of the observer `obs`.
 
-    Accepts either a path-complete base graph (determinized here) or an
-    already built ObserverGraph.  The member of node P is the dual of the
-    observer graph read from P and accepting at the root: it accepts
-    exactly the words whose observer run, read in trajectory order from the
-    root, ends at P.  All members share one dual graph, so the family's
-    subset explorations share one successor memo.  Member names are the
-    observer node ids, so translating back to a graph reproduces the
-    observer graph itself, node names included.
+    The member of node P is the dual of the observer graph read from P and
+    accepting at the root: it accepts exactly the words whose observer run,
+    read in trajectory order from the root, ends at P.  All members share
+    one dual graph, so the family's subset explorations share one successor
+    memo.  Member names are the observer node ids, so translating back to a
+    graph reproduces the observer graph itself, node names included.
     """
-    obs = g if isinstance(g, ObserverGraph) else observer_graph(g, cap=cap)
     back = dual(obs.graph)
     root = frozenset({obs.root})
     members = tuple(
@@ -258,7 +258,7 @@ def prefix_covering(stems, alphabet, cap=None):
     members = []
     for stem in stems:
         stem = tuple(stem)
-        auto = prefix_class_automaton(PrefixClass(alphabet, stem))
+        auto = prefix_class_automaton(alphabet, stem)
         members.append(CoveringMember(_word_name(stem, alphabet), auto, stem=stem))
     fam = CoveringFamily(tuple(alphabet), tuple(members))
     _require_valid(validate_covering(fam, cap=cap))

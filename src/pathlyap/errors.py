@@ -68,6 +68,39 @@ def json_array(data, what):
     return data
 
 
+def json_string(data, what):
+    """`data`, once checked to be a JSON string; a ValueError that names
+    `what` otherwise."""
+    if not isinstance(data, str):
+        raise ValueError(f"{what} must be a JSON string")
+    return data
+
+
+def json_strings(data, what):
+    """`data`, once checked to be a JSON array of strings; a ValueError that
+    names `what` otherwise."""
+    for item in json_array(data, what):
+        json_string(item, f"each entry of {what}")
+    return data
+
+
+def json_number(data, what):
+    """`data`, once checked to be a JSON number: an int or a float, and not
+    a bool, which Python counts as an int; a ValueError that names `what`
+    otherwise."""
+    if isinstance(data, bool) or not isinstance(data, (int, float)):
+        raise ValueError(f"{what} must be a JSON number")
+    return data
+
+
+def json_integer(data, what):
+    """`data`, once checked to be a JSON integer, and not a bool; a
+    ValueError that names `what` otherwise.  2.0 is not an integer here."""
+    if isinstance(data, bool) or not isinstance(data, int):
+        raise ValueError(f"{what} must be a JSON integer")
+    return data
+
+
 def json_reader(what):
     """Decorator for the reader of the `what` JSON form: a nested field of
     the wrong type, which surfaces inside the reader as a TypeError or

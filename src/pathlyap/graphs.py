@@ -20,6 +20,7 @@ from .errors import (
     json_array,
     json_object,
     json_reader,
+    json_strings,
     state_cap,
 )
 
@@ -93,9 +94,9 @@ class LabeledGraph:
 def graph_from_json(data: dict) -> LabeledGraph:
     """Parse the graph JSON form; unknown keys are rejected."""
     json_object(data, "graph", ("alphabet", "nodes", "edges"))
-    alphabet = tuple(json_array(data["alphabet"], "graph 'alphabet'"))
-    nodes = tuple(json_array(data["nodes"], "graph 'nodes'"))
-    edges = [tuple(json_array(e, "graph edge"))
+    alphabet = tuple(json_strings(data["alphabet"], "graph 'alphabet'"))
+    nodes = tuple(json_strings(data["nodes"], "graph 'nodes'"))
+    edges = [tuple(json_strings(e, "graph edge"))
              for e in json_array(data["edges"], "graph 'edges'")]
     if any(len(e) != 3 for e in edges):
         raise ValueError("edges must be [source, dest, label] triples")

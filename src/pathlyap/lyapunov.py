@@ -11,11 +11,20 @@ observer transitions at the same rate.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import json_array, json_object, json_reader
+from .errors import (
+    json_array,
+    json_integer,
+    json_number,
+    json_object,
+    json_reader,
+    json_strings,
+)
+from .graphs import graph_from_json
 
 ASYMMETRY_CAP = 1e-8
 EIG_REL_TOL = 1e-9
@@ -52,7 +61,7 @@ class SwitchedLinearSystem:
 
     def __post_init__(self):
         self.alphabet = tuple(self.alphabet)
-        n = int(self.dimension)
+        n = operator.index(self.dimension)
         if n < 1:
             raise ValueError("dimension must be positive")
         self.dimension = n
@@ -81,10 +90,24 @@ class SwitchedLinearSystem:
 @json_reader("system")
 def system_from_json(d):
     json_object(d, "system", ("alphabet", "dimension", "modes"))
-    alphabet = tuple(json_array(d["alphabet"], "system 'alphabet'"))
+    alphabet = tuple(json_strings(d["alphabet"], "system 'alphabet'"))
     # exactly one matrix per symbol, keyed by the symbol
     modes = json_object(d["modes"], "system 'modes'", alphabet)
-    return SwitchedLinearSystem(alphabet, int(d["dimension"]), dict(modes))
+    return SwitchedLinearSystem(
+        alphabet,
+        json_integer(d["dimension"], "system 'dimension'"),
+        {sym: _json_matrix(m, f"system mode {sym!r}")
+         for sym, m in modes.items()},
+    )
+
+
+def _json_matrix(rows, what):
+    """`rows`, once checked to be a JSON array of arrays of numbers; a
+    ValueError that names `what` otherwise."""
+    for row in json_array(rows, what):
+        for entry in json_array(row, what):
+            json_number(entry, what)
+    return rows
 
 
 @dataclass(eq=False)
@@ -125,14 +148,15 @@ class QuadraticCertificate:
 
 @json_reader("certificate")
 def certificate_from_json(d):
-    from .graphs import graph_from_json
-
     json_object(d, "certificate", ("graph", "rho", "P"), ("margin",))
+    margin = d.get("margin")
     return QuadraticCertificate(
         graph=graph_from_json(d["graph"]),
-        P={node: np.asarray(m, dtype=float) for node, m in d["P"].items()},
-        rho=float(d["rho"]),
-        margin=d.get("margin"),
+        P={node: _json_matrix(m, f"certificate P[{node!r}]")
+           for node, m in d["P"].items()},
+        rho=float(json_number(d["rho"], "certificate 'rho'")),
+        margin=None if margin is None
+        else json_number(margin, "certificate 'margin'"),
     )
 
 
@@ -347,13 +371,13 @@ def lift_certificate(cert, obs):
         raise ValueError("observer and certificate alphabets differ")
     base_nodes = set(cert.graph.nodes)
     members = {}
-    for name, node in obs.subset_map.items():
-        if not node.subset <= base_nodes:
+    for name, subset in obs.subset_map.items():
+        if not subset <= base_nodes:
             raise ValueError(
                 f"observer node {name} references nodes outside the "
                 "certificate's graph"
             )
-        members[name] = tuple(cert.P[s] for s in sorted(node.subset))
+        members[name] = tuple(cert.P[s] for s in sorted(subset))
     return MaxQuadraticFunction(
         members=members, rho=cert.rho, dimension=cert.dimension
     )

@@ -6,6 +6,9 @@ Starting from the full node set, each symbol maps a subset to the union of
 its successors.  If some subset ever becomes empty, the symbol sequence that
 produced it cannot be read anywhere in the base graph, so the construction
 doubles as a path-completeness check with an explicit witness.
+
+An observer node is its frozenset of base nodes: `ObserverGraph.subset_map`
+maps each node name to that frozenset.
 """
 
 from dataclasses import dataclass, field
@@ -14,9 +17,10 @@ from operator import methodcaller
 from .errors import (
     InvariantViolation,
     NotPathCompleteError,
-    json_array,
     json_object,
     json_reader,
+    json_string,
+    json_strings,
     state_cap,
 )
 from .graphs import (
@@ -34,18 +38,11 @@ _escaped = methodcaller(
 )
 
 
-@dataclass(frozen=True)
-class ObserverNode:
-    """A reachable subset of base-graph nodes."""
-
-    subset: frozenset
-
-    @property
-    def name(self):
-        """The sorted member names, comma-separated in braces.  Member names
-        containing ",", "{", "}" or "\\" are written with a backslash
-        before each such character, so distinct subsets get distinct names."""
-        return "{" + ",".join(map(_escaped, sorted(self.subset))) + "}"
+def _subset_name(subset):
+    """The sorted member names, comma-separated in braces.  Member names
+    containing ",", "{", "}" or "\\" are written with a backslash before
+    each such character, so distinct subsets get distinct names."""
+    return "{" + ",".join(map(_escaped, sorted(subset))) + "}"
 
 
 @dataclass
@@ -58,7 +55,7 @@ class ObserverGraph:
         d = self.graph.to_json()
         d["root"] = self.root
         d["subsets"] = {
-            name: sorted(node.subset) for name, node in self.subset_map.items()
+            name: sorted(subset) for name, subset in self.subset_map.items()
         }
         return d
 
@@ -70,14 +67,15 @@ def observer_from_json(d):
         {"alphabet": d["alphabet"], "nodes": d["nodes"], "edges": d["edges"]}
     )
     subset_map = {
-        name: ObserverNode(frozenset(json_array(members, "observer subset")))
+        name: frozenset(json_strings(members, "observer subset"))
         for name, members in d["subsets"].items()
     }
     if set(subset_map) != set(graph.nodes):
         raise ValueError("observer subsets do not match the node list")
-    if d["root"] not in subset_map:
+    root = json_string(d["root"], "observer 'root'")
+    if root not in subset_map:
         raise ValueError("observer root is not a node")
-    return ObserverGraph(graph=graph, root=d["root"], subset_map=subset_map)
+    return ObserverGraph(graph=graph, root=root, subset_map=subset_map)
 
 
 def observer_graph(g, cap=None):
@@ -100,9 +98,9 @@ def observer_graph(g, cap=None):
     subset_map = {}
     names = {}
     for (mask,) in parent:
-        node = ObserverNode(frozenset(_members(g.nodes, mask)))
-        names[mask] = node.name
-        subset_map[names[mask]] = node
+        subset = frozenset(_members(g.nodes, mask))
+        names[mask] = _subset_name(subset)
+        subset_map[names[mask]] = subset
     # each state was expanded, so the memo holds every successor
     edges = [
         (names[mask], names[step[mask]], symbol)
@@ -117,82 +115,59 @@ def observer_core(obs):
     """Restrict an observer to its unique terminal strongly connected
     component, the part every long enough run settles into.
 
-    The result is returned as a plain LabeledGraph.  A component counts as
-    terminal only when every edge leaving its nodes stays inside it, so the
-    core is closed under all transitions by construction.  Its uniqueness is
-    verified and raises InvariantViolation if it fails; for graphs produced
-    by observer_graph it always holds.
+    The result is returned as a plain LabeledGraph.  Kosaraju's method finds
+    the components: a depth-first search records the order in which nodes
+    finish, and a search along reversed edges, from the latest finisher
+    first, labels each component by the node it started from.  A component
+    is terminal when no edge leaves it, so the core is closed under all
+    transitions by construction.  Its uniqueness is verified and raises
+    InvariantViolation if it fails; for graphs produced by observer_graph it
+    always holds.
     """
     g = obs.graph
     succ = {node: [] for node in g.nodes}
+    pred = {node: [] for node in g.nodes}
     for p, q, _ in g.edges:
         succ[p].append(q)
+        pred[q].append(p)
 
-    components = _tarjan_scc(g.nodes, succ)
-    comp_of = {}
-    for idx, comp in enumerate(components):
-        for node in comp:
-            comp_of[node] = idx
+    finished = []
+    seen = set()
+    for start in g.nodes:
+        if start in seen:
+            continue
+        seen.add(start)
+        work = [(start, iter(succ[start]))]
+        while work:
+            node, children = work[-1]
+            child = next((c for c in children if c not in seen), None)
+            if child is None:
+                work.pop()
+                finished.append(node)
+            else:
+                seen.add(child)
+                work.append((child, iter(succ[child])))
 
-    terminal = []
-    for idx, comp in enumerate(components):
-        members = set(comp)
-        if all(comp_of[q] == idx for p in comp for q in succ[p]):
-            terminal.append(members)
+    component = {}
+    for label in reversed(finished):
+        if label in component:
+            continue
+        component[label] = label
+        stack = [label]
+        while stack:
+            for p in pred[stack.pop()]:
+                if p not in component:
+                    component[p] = label
+                    stack.append(p)
+
+    terminal = set(component.values()) - {
+        component[p] for p, q, _ in g.edges if component[p] != component[q]
+    }
     if len(terminal) != 1:
         raise InvariantViolation(
             f"expected exactly one terminal component, found {len(terminal)}"
         )
-    core_nodes = terminal[0]
-    kept_edges = [(p, q, h) for p, q, h in g.edges if p in core_nodes]
-    kept_names = tuple(n for n in g.nodes if n in core_nodes)
+    (core,) = terminal
+    kept_edges = [(p, q, h) for p, q, h in g.edges if component[p] == core]
+    kept_names = tuple(n for n in g.nodes if component[n] == core)
     return LabeledGraph(g.alphabet, kept_names, kept_edges)
-
-
-def _tarjan_scc(nodes, succ):
-    """Iterative Tarjan strongly-connected-components."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    components = []
-    counter = [0]
-
-    for start in nodes:
-        if start in index:
-            continue
-        work = [(start, iter(succ[start]))]
-        index[start] = low[start] = counter[0]
-        counter[0] += 1
-        stack.append(start)
-        on_stack.add(start)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = counter[0]
-                    counter[0] += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(succ[child])))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    comp.append(top)
-                    if top == node:
-                        break
-                components.append(comp)
-    return components

@@ -87,6 +87,31 @@ def oracle_is_path_complete(nodes, edges, alphabet):
 
 
 # ---------------------------------------------------------------------------
+# terminal strongly connected components by per-node reach sets
+# ---------------------------------------------------------------------------
+
+def terminal_components(nodes, edges):
+    """The terminal strongly connected components, as frozensets.
+
+    A node's reach set R (itself included) counts exactly when reach(v) = R
+    for every v in R: then R is strongly connected and no edge leaves it.
+    One search per node over the edge list, nothing shared between them.
+    """
+    reach = {}
+    for u in nodes:
+        seen = {u}
+        stack = [u]
+        while stack:
+            v = stack.pop()
+            for p, q, _ in edges:
+                if p == v and q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        reach[u] = frozenset(seen)
+    return {r for r in reach.values() if all(reach[v] == r for v in r)}
+
+
+# ---------------------------------------------------------------------------
 # regular-language membership by per-word graph search
 # ---------------------------------------------------------------------------
 

@@ -104,7 +104,7 @@ def test_criterion_5_covering_round_trip_suite():
             rng, int(rng.integers(1, 5)), int(rng.integers(1, 4))
         )
         obs = observer_graph(g)
-        family = observer_to_covering(g)
+        family = observer_to_covering(obs)
         assert validate_covering(family).ok
         back, phi = covering_to_graph(family)
         assert back.alphabet == obs.graph.alphabet

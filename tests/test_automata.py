@@ -9,7 +9,6 @@ from conftest import prepend_symbol, random_graph, union_automaton
 from oracles import nfa_accepts, prefix_class_member, words_up_to
 from pathlyap.automata import (
     Automaton,
-    PrefixClass,
     accepts,
     automaton_from_json,
     language_includes,
@@ -23,7 +22,7 @@ AB = ("a", "b")
 
 
 def chain(stem):
-    return prefix_class_automaton(PrefixClass(AB, tuple(stem)))
+    return prefix_class_automaton(AB, tuple(stem))
 
 
 def empty_language():
@@ -56,6 +55,11 @@ def test_prefix_class_empty_stem_is_sigma_star():
     a = chain("")
     for word in words_up_to(AB, 3):
         assert accepts(a, word)
+
+
+def test_prefix_class_stem_must_use_the_alphabet():
+    with pytest.raises(ValueError, match="stem symbols must come from the alphabet"):
+        prefix_class_automaton(("a", "b"), ("c",))
 
 
 def test_prefix_class_membership_matches_closed_form():

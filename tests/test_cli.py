@@ -77,6 +77,17 @@ ONE_LOOP = {"alphabet": ["a"], "nodes": ["q"], "edges": [["q", "q", "a"]]}
 # name both
 TWO_LOOPS = {"alphabet": ["a"], "nodes": ["q", "0"],
              "edges": [["q", "q", "a"], ["0", "0", "a"]]}
+DEMO_SYSTEM = demo_system().to_json()
+# a certificate that `certificate verify` passes on the demo system
+DB1_CERT = {"graph": de_bruijn(("a", "b"), 1).to_json(), "rho": 5.0,
+            "P": {"[a]": [[1.0, 0.0], [0.0, 1.0]],
+                  "[b]": [[1.0, 0.0], [0.0, 1.0]]}}
+
+
+def entries_as(convert, matrices):
+    """`matrices` (name -> rows) with every entry passed through `convert`."""
+    return {name: [[convert(x) for x in row] for row in m]
+            for name, m in matrices.items()}
 
 
 @pytest.mark.parametrize("argv, content", [
@@ -132,6 +143,30 @@ TWO_LOOPS = {"alphabet": ["a"], "nodes": ["q", "0"],
      {"alphabet": "ab", "dimension": 1, "modes": {"a": [[1]], "b": [[1]]}}),
     (["jsr", "lower", "--system", "{bad}", "--max-len", "2"],
      {"alphabet": ["a"], "dimension": 1, "modes": [["a", [[1]]]]}),
+    # a field that is not of its JSON type, which int(), float() or numpy
+    # would otherwise read
+    (["jsr", "lower", "--system", "{bad}", "--max-len", "2"],
+     dict(DEMO_SYSTEM, dimension=2.9)),
+    (["jsr", "lower", "--system", "{bad}", "--max-len", "2"],
+     dict(DEMO_SYSTEM, dimension="2")),
+    (["jsr", "lower", "--system", "{bad}", "--max-len", "2"],
+     dict(DEMO_SYSTEM, modes=entries_as(str, DEMO_SYSTEM["modes"]))),
+    (["jsr", "lower", "--system", "{bad}", "--max-len", "2"],
+     dict(DEMO_SYSTEM, modes=entries_as(bool, DEMO_SYSTEM["modes"]))),
+    (["certificate", "verify", "--certificate", "{bad}",
+      "--system", "{system}"], dict(DB1_CERT, rho="5.0")),
+    (["certificate", "verify", "--certificate", "{bad}",
+      "--system", "{system}"], dict(DB1_CERT, rho=True)),
+    (["certificate", "verify", "--certificate", "{bad}",
+      "--system", "{system}"], dict(DB1_CERT, P=entries_as(str, DB1_CERT["P"]))),
+    (["certificate", "verify", "--certificate", "{bad}",
+      "--system", "{system}"], dict(DB1_CERT, margin="abc")),
+    (["graph", "check", "{bad}"],
+     {"alphabet": [1, 2], "nodes": ["q"], "edges": [["q", "q", 1]]}),
+    (["observer", "build", "{bad}"],
+     {"alphabet": [1, 2], "nodes": ["q"], "edges": [["q", "q", 1]]}),
+    (["observer", "build", "{bad}"],
+     {"alphabet": ["a"], "nodes": [1], "edges": [[1, 1, "a"]]}),
 ], ids=["covering-validate", "covering-to-graph", "covering-from-graph",
         "jsr-upper-system", "jsr-lower-system", "observer-core",
         "certificate-verify", "covering-member", "covering-alphabet",
@@ -141,7 +176,12 @@ TWO_LOOPS = {"alphabet": ["a"], "nodes": ["q", "0"],
         "graph-nodes-string", "graph-edge-string", "member-stem-string",
         "member-initial-string", "member-accepting-string",
         "observer-subset-string", "system-alphabet-string",
-        "system-modes-pairs"])
+        "system-modes-pairs", "system-dimension-float",
+        "system-dimension-string", "system-mode-strings",
+        "system-mode-booleans", "certificate-rho-string",
+        "certificate-rho-boolean", "certificate-p-strings",
+        "certificate-margin-string", "graph-integer-symbols",
+        "observer-integer-symbols", "observer-integer-nodes"])
 def test_json_of_the_wrong_shape_exits_two(demo_files, tmp_path, capsys,
                                            argv, content):
     files = dict(demo_files, bad=write_json(tmp_path, "bad.json", content))
@@ -222,6 +262,15 @@ def test_covering_validate_and_graphs(demo_files, tmp_path, capsys):
     assert run(["covering", "validate", partial]) == 1
     assert "b" in capsys.readouterr().out
     assert run(["covering", "to-graph", partial]) == 1
+
+
+def test_covering_stem_outside_the_alphabet_exits_two(tmp_path, capsys):
+    fam = write_json(tmp_path, "fam.json", {
+        "alphabet": ["a", "b"],
+        "members": [{"name": "[c]", "stem": ["c"]}],
+    })
+    assert run(["covering", "validate", fam]) == 2
+    assert "stem symbols must come from the alphabet" in capsys.readouterr().err
 
 
 def test_covering_from_graph_round_trip(demo_files, tmp_path, capsys):
@@ -382,11 +431,10 @@ def test_non_finite_input_exits_two(demo_files, tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--rho-prime", "nan", "rho_prime must be finite"),
-    ("--rho-factor", "nan", "rho_prime must be finite"),
     ("--tolerance", "nan", "tolerance must be non-negative and finite"),
     ("--trials", "-2", "trials must be non-negative"),
     ("--horizon", "-3", "horizon must be non-negative"),
-], ids=["rho-prime", "rho-factor", "tolerance", "trials", "horizon"])
+], ids=["rho-prime", "tolerance", "trials", "horizon"])
 def test_decrease_check_bad_input_exits_two(demo_files, tmp_path, capsys,
                                             flag, value, message):
     from pathlyap.lyapunov import QuadraticCertificate

@@ -12,7 +12,6 @@ from oracles import (
 )
 from pathlyap.automata import (
     Automaton,
-    PrefixClass,
     accepts,
     language_includes,
     prefix_class_automaton,
@@ -46,7 +45,7 @@ def family(stems, alphabet=AB):
     """Build a family from prefix-class stems without validating it."""
     members = []
     for stem in stems:
-        auto = prefix_class_automaton(PrefixClass(alphabet, tuple(stem)))
+        auto = prefix_class_automaton(alphabet, tuple(stem))
         members.append(
             CoveringMember("[" + "".join(stem) + "]", auto, stem=tuple(stem))
         )
@@ -168,7 +167,7 @@ def test_overlapping_members_give_multiple_edges():
 # ---------------------------------------------------------------------------
 
 def test_observer_covering_of_de_bruijn_1():
-    fam = observer_to_covering(de_bruijn(AB, 1))
+    fam = observer_to_covering(observer_graph(de_bruijn(AB, 1)))
     names = [m.name for m in fam.members]
     assert names == ["{[a],[b]}", "{[a]}", "{[b]}"]
     root = fam.members[0]
@@ -192,7 +191,7 @@ def test_observer_covering_of_single_loop_is_universal():
     from pathlyap.graphs import LabeledGraph
 
     g = LabeledGraph(AB, ("n",), [("n", "n", "a"), ("n", "n", "b")])
-    fam = observer_to_covering(g)
+    fam = observer_to_covering(observer_graph(g))
     assert len(fam.members) == 1
     assert universality_witness([fam.members[0].automaton]) is None
 
@@ -203,7 +202,7 @@ def test_round_trip_reproduces_observer_graph():
     samples += [random_path_complete_graph(rng, 3, 2) for _ in range(8)]
     for g in samples:
         obs = observer_graph(g)
-        fam = observer_to_covering(g)
+        fam = observer_to_covering(obs)
         assert validate_covering(fam).ok
         back, phi = covering_to_graph(fam)
         assert back == obs.graph
@@ -240,7 +239,7 @@ def test_edge_table_matches_per_triple_inclusion():
     while len(families) < 12:
         g = mixed_graph_sample(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
         if is_path_complete(g):
-            families.append(observer_to_covering(g))
+            families.append(observer_to_covering(observer_graph(g)))
     stems = list(words_up_to(AB, 2))
     for size in range(1, len(stems) + 1):
         families += [family(chosen) for chosen in itertools.combinations(stems, size)]
@@ -251,8 +250,8 @@ def test_edge_table_matches_per_triple_inclusion():
     )
     special = [
         CoveringMember("empty", Automaton(LabeledGraph(AB, ("q",), []), {"q"}, ())),
-        CoveringMember("all", prefix_class_automaton(PrefixClass(AB, ()))),
-        CoveringMember("[a]", prefix_class_automaton(PrefixClass(AB, ("a",)))),
+        CoveringMember("all", prefix_class_automaton(AB, ())),
+        CoveringMember("[a]", prefix_class_automaton(AB, ("a",))),
         CoveringMember("b...", Automaton(starts_b, {"s"}, {"t"})),
     ]
     for size in range(1, len(special) + 1):
@@ -295,7 +294,7 @@ def test_edge_table_subset_cap():
 
 def test_shortcut_agrees_with_language_route():
     stems = sorted(set(tuple(s) for s in words_up_to(AB, 2)))
-    autos = {s: prefix_class_automaton(PrefixClass(AB, s)) for s in stems}
+    autos = {s: prefix_class_automaton(AB, s) for s in stems}
     for src in stems:
         for h in AB:
             lifted = prepend_symbol(h, autos[src])
@@ -338,7 +337,7 @@ def test_json_round_trip_stem_form():
 
 
 def test_json_round_trip_automaton_form():
-    fam = observer_to_covering(de_bruijn(AB, 1))
+    fam = observer_to_covering(observer_graph(de_bruijn(AB, 1)))
     d = fam.to_json()
     assert "automaton" in d["members"][0]
     again = covering_from_json(d)
@@ -365,10 +364,10 @@ def test_json_rejects_unknown_and_ambiguous_members():
 
 
 def test_family_requires_distinct_names_and_common_alphabet():
-    auto = prefix_class_automaton(PrefixClass(AB, ("a",)))
+    auto = prefix_class_automaton(AB, ("a",))
     with pytest.raises(ValueError):
         CoveringFamily(AB, (CoveringMember("x", auto), CoveringMember("x", auto)))
-    other = prefix_class_automaton(PrefixClass(("a", "b", "c"), ("a",)))
+    other = prefix_class_automaton(("a", "b", "c"), ("a",))
     with pytest.raises(ValueError):
         CoveringFamily(AB, (CoveringMember("x", auto), CoveringMember("y", other)))
     with pytest.raises(ValueError):

@@ -61,6 +61,14 @@ def test_system_rejects_bad_shapes():
         SwitchedLinearSystem(AB, 3, {"a": A_MODE, "b": B_MODE})
 
 
+def test_system_dimension_is_not_truncated():
+    # 2.9 read through int() would be a 2-dimensional system
+    with pytest.raises(TypeError):
+        SwitchedLinearSystem(AB, 2.9, {"a": A_MODE, "b": B_MODE})
+    assert SwitchedLinearSystem(AB, np.int64(2), {"a": A_MODE, "b": B_MODE}
+                                ).dimension == 2
+
+
 def test_system_json_rejects_unknown_keys():
     d = demo_system().to_json()
     d["note"] = "x"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import prepend_symbol, random_path_complete_graph
-from oracles import nfa_accepts, words_up_to
+from conftest import prepend_symbol, random_graph, random_path_complete_graph
+from oracles import nfa_accepts, terminal_components, words_up_to
 from pathlyap.automata import accepts, language_includes
 from pathlyap.covering import covering_to_graph, observer_to_covering
 from pathlyap.errors import (
@@ -12,7 +12,8 @@ from pathlyap.errors import (
 )
 from pathlyap.graphs import LabeledGraph, de_bruijn, is_complete, is_deterministic
 from pathlyap.observer import (
-    ObserverNode,
+    ObserverGraph,
+    _subset_name,
     observer_core,
     observer_from_json,
     observer_graph,
@@ -45,7 +46,7 @@ def test_observer_of_de_bruijn_1():
     assert obs.root == "{[a],[b]}"
     assert set(obs.graph.nodes) == {"{[a],[b]}", "{[a]}", "{[b]}"}
     assert set(obs.graph.edges) == DB1_OBSERVER_EDGES
-    assert obs.subset_map["{[a]}"].subset == frozenset({"[a]"})
+    assert obs.subset_map["{[a]}"] == frozenset({"[a]"})
 
 
 def test_observer_of_single_looped_node():
@@ -80,8 +81,8 @@ def test_observer_names_escape_separators():
     assert set(obs.graph.nodes) == {
         "{x,x\\,y,y\\,z,z}", "{x\\,y,z}", "{x,y\\,z}",
     }
-    assert obs.subset_map["{x\\,y,z}"].subset == {"x,y", "z"}
-    assert ObserverNode(frozenset({"a\\", "{b}"})).name == "{a\\\\,\\{b\\}}"
+    assert obs.subset_map["{x\\,y,z}"] == {"x,y", "z"}
+    assert _subset_name(frozenset({"a\\", "{b}"})) == "{a\\\\,\\{b\\}}"
     rebuilt, _ = covering_to_graph(observer_to_covering(obs))
     assert rebuilt == obs.graph
 
@@ -139,6 +140,30 @@ def test_core_needs_one_terminal_component():
         observer_core(obs)
 
 
+def test_core_matches_reach_set_oracle():
+    """On random graphs with one or several terminal components, the core is
+    the unique one, with every edge leaving its nodes, or the error counts
+    them."""
+    rng = np.random.default_rng(35)
+    found = []
+    for _ in range(600):
+        g = random_graph(rng, int(rng.integers(1, 8)), int(rng.integers(1, 3)),
+                         float(rng.uniform(0.05, 0.5)))
+        obs = ObserverGraph(graph=g, root=g.nodes[0])
+        terminal = terminal_components(g.nodes, g.edges)
+        found.append(len(terminal))
+        if len(terminal) == 1:
+            (component,) = terminal
+            core = observer_core(obs)
+            assert set(core.nodes) == component
+            assert set(core.edges) == {e for e in g.edges if e[0] in component}
+        else:
+            with pytest.raises(InvariantViolation,
+                               match=f"found {len(terminal)}$"):
+                observer_core(obs)
+    assert found.count(1) > 100 and sum(k >= 3 for k in found) > 50
+
+
 # ---------------------------------------------------------------------------
 # randomized structural properties
 # ---------------------------------------------------------------------------
@@ -150,7 +175,7 @@ def test_observer_deterministic_complete_nonempty():
         obs = observer_graph(g)
         assert is_deterministic(obs.graph)
         assert is_complete(obs.graph)
-        assert all(node.subset for node in obs.subset_map.values())
+        assert all(obs.subset_map.values())
         core = observer_core(obs)
         assert is_deterministic(core)
         assert is_complete(core)

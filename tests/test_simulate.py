@@ -17,7 +17,7 @@ from pathlyap.lyapunov import (
     SwitchedLinearSystem,
     lift_certificate,
 )
-from pathlyap.observer import ObserverGraph, ObserverNode, observer_graph
+from pathlyap.observer import ObserverGraph, observer_graph
 from pathlyap.sdp import jsr_upper_bound
 from pathlyap.simulate import (
     DEFAULT_SEED,
@@ -313,19 +313,17 @@ def test_decrease_rejects_bad_inputs(bad, message):
 
 
 def test_chain_failure_is_a_structure_bug():
-    node = ObserverNode(frozenset({"x"}))
+    name = "{x}"
     broken = ObserverGraph(
-        graph=LabeledGraph(
-            ("a", "b"), (node.name,), [(node.name, node.name, "a")]
-        ),
-        root=node.name,
-        subset_map={node.name: node},
+        graph=LabeledGraph(("a", "b"), (name,), [(name, name, "a")]),
+        root=name,
+        subset_map={name: frozenset({"x"})},
     )
     sys = SwitchedLinearSystem(
         ("a", "b"), 2, {"a": 0.5 * np.eye(2), "b": 0.5 * np.eye(2)}
     )
     w_fn = MaxQuadraticFunction(
-        members={node.name: (np.eye(2),)}, rho=0.5, dimension=2
+        members={name: (np.eye(2),)}, rho=0.5, dimension=2
     )
     with pytest.raises(InvariantViolation):
         trajectory_decrease_check(

@@ -24,7 +24,6 @@ from oracles import enumerate_unreadable, nfa_accepts, word_is_readable, words_u
 from pathlyap import automata, cli, covering, graphs
 from pathlyap.automata import (
     Automaton,
-    PrefixClass,
     language_includes,
     prefix_class_automaton,
     universality_witness,
@@ -72,7 +71,7 @@ def mixed_family():
     """Four observer members on one shared dual graph, three more loaded
     back from JSON (equal graphs, distinct objects), and three prefix
     classes, each on its own chain graph."""
-    shared = observer_to_covering(pc_graph())
+    shared = observer_to_covering(observer_graph(pc_graph()))
     loaded = covering_from_json(json.loads(json.dumps(shared.to_json())))
     stems = prefix_covering([("a", "a"), ("a", "b"), ("b",)], AB)
     members = shared.members[:4] + tuple(
@@ -174,13 +173,13 @@ def test_validation_coverage_matches_universality_witness():
         chosen = rng.choice(len(stems), size=int(rng.integers(1, 6)),
                             replace=False)
         families.append(CoveringFamily(AB, [
-            CoveringMember(str(k), prefix_class_automaton(PrefixClass(AB, stems[k])))
+            CoveringMember(str(k), prefix_class_automaton(AB, stems[k]))
             for k in chosen
         ]))
     for _ in range(15):
-        full = observer_to_covering(
+        full = observer_to_covering(observer_graph(
             random_path_complete_graph(rng, int(rng.integers(2, 5)), 2)
-        ).members
+        )).members
         if len(full) > 1:
             drop = int(rng.integers(len(full)))
             families.append(CoveringFamily(AB, full[:drop] + full[drop + 1:]))
@@ -209,7 +208,7 @@ def test_validation_coverage_matches_universality_witness():
 
 
 @pytest.mark.parametrize("fam", [
-    observer_to_covering(de_bruijn(("a", "b", "c"), 2)),
+    observer_to_covering(observer_graph(de_bruijn(("a", "b", "c"), 2))),
     CoveringFamily(AB, mixed_family().members[:-1]),
 ], ids=["covering", "not-covering"])
 def test_validation_explores_once_per_symbol(monkeypatch, fam):
@@ -284,7 +283,8 @@ def test_edge_table_matches_pairwise_inclusion():
     (lambda cap: find_unreadable_word(thin_graph(), cap=cap), 9),
     (lambda cap: observer_graph(pc_graph(), cap=cap), 11),
     (lambda cap: validate_covering(mixed_family(), cap=cap), 23),
-    (lambda cap: validate_covering(observer_to_covering(pc_graph()), cap=cap), 30),
+    (lambda cap: validate_covering(
+        observer_to_covering(observer_graph(pc_graph())), cap=cap), 30),
     (lambda cap: validate_covering(
         CoveringFamily(AB, mixed_family().members[:-1]), cap=cap), 23),
 ], ids=["unreadable-complete", "unreadable-thin", "observer",
@@ -300,6 +300,6 @@ def test_pinned_graphs():
     assert find_unreadable_word(pc_graph()) is None
     assert find_unreadable_word(thin_graph()) == ("b", "a", "b", "b")
     assert len(observer_graph(pc_graph()).graph.nodes) == 11
-    assert validate_covering(observer_to_covering(pc_graph())).ok
+    assert validate_covering(observer_to_covering(observer_graph(pc_graph()))).ok
     report = validate_covering(CoveringFamily(AB, mixed_family().members[:-1]))
     assert report.uncovered_witness == ("b", "b")
