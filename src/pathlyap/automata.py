@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import and_
 
 from .errors import (
-    DEFAULT_DETERMINIZE_CAP,
+    DEFAULT_SUBSET_CAP,
     json_object,
     json_reader,
     json_strings,
@@ -145,7 +145,7 @@ def language_includes(sub: Automaton, sup: Automaton, cap=None) -> bool:
     steps, start, (sub_final, sup_final) = _parts([sub, sup])
     _, hit = _explore_subsets(
         sub.graph.alphabet, steps, start,
-        state_cap(cap, DEFAULT_DETERMINIZE_CAP),
+        state_cap(cap, DEFAULT_SUBSET_CAP),
         lambda s: s[0] & sub_final and not s[1] & sup_final,
     )
     return hit is None
@@ -166,7 +166,7 @@ def universality_witness(automata, cap=None):
     steps, start, finals = _parts(automata)
     parent, hit = _explore_subsets(
         alphabet, steps, start,
-        state_cap(cap, DEFAULT_DETERMINIZE_CAP),
+        state_cap(cap, DEFAULT_SUBSET_CAP),
         lambda s: not any(map(and_, s, finals)),
     )
     return None if hit is None else _word_to(parent, hit)[::-1]

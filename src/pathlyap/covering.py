@@ -24,7 +24,7 @@ from .automata import (
     universality_witness,  # unused here; perfbench/tracing.py wraps this name
 )
 from .errors import (
-    DEFAULT_DETERMINIZE_CAP,
+    DEFAULT_SUBSET_CAP,
     json_array,
     json_object,
     json_reader,
@@ -181,7 +181,7 @@ def validate_covering(c, cap=None):
     finds on the members.  That run holds every state the members' own run
     would, so the cap stops no validation that run would have let pass.
     """
-    limit = state_cap(cap, DEFAULT_DETERMINIZE_CAP)
+    limit = state_cap(cap, DEFAULT_SUBSET_CAP)
     names = [m.name for m in c.members]
     n = len(names)
     steps, initial, finals = _parts([m.automaton for m in c.members])

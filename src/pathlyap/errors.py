@@ -14,7 +14,6 @@ import os
 STATE_CAP_ENV = "PATHLYAP_STATE_CAP"
 
 DEFAULT_SUBSET_CAP = 1 << 20
-DEFAULT_DETERMINIZE_CAP = 1 << 16
 DEFAULT_WORD_CAP = 1 << 20
 DEFAULT_UNKNOWN_CAP = 64
 

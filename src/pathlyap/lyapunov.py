@@ -169,14 +169,6 @@ def certificate_from_json(d):
 _TIE_TOL = 1e-12
 
 
-def _word_at(index, length, alphabet):
-    n = len(alphabet)
-    symbols = []
-    for pos in range(length):
-        symbols.append(alphabet[(index // n ** (length - 1 - pos)) % n])
-    return tuple(symbols)
-
-
 def _unit_scaled(stack):
     """Divide each matrix of the (K, n, n) stack, in place, by its largest
     absolute entry, and return the logs of those entries (0 for a zero
@@ -191,38 +183,57 @@ def product_growth(sys, max_len):
     """Largest spectral-radius(A_w)^(1/|w|) over words with 1 <= |w| <= max_len,
     and its witness.
 
-    Every product is formed (incrementally, newest mode on the left) and
-    eigensolved; each growth rate is a lower bound on the joint spectral
-    radius.  Every mode and every product is kept divided by its largest
-    entry c_w, with log c_w carried beside it, so that no product overflows
-    however long its word, and none underflows because the scales of the
-    modes lie far apart; the rate is exp((log c_w + log rho(A_w / c_w)) /
-    |w|).  The witness is the
-    shortest, then lexicographically first (in alphabet order), word
-    attaining the maximum, in time order.
+    Each growth rate is a lower bound on the joint spectral radius.  A
+    rotation of w gives a product with the spectral radius of A_w, and w^k
+    has the rate of w, so only Lyndon words (aperiodic words, least among
+    their rotations) are eigensolved; every word up to max_len is covered.
+    Products are grown one length at a time, newest mode on the left, over
+    the pre-necklaces (the prefixes of necklaces, which
+    Fredricksen-Kessler-Maiorana generation yields), kept in lexicographic
+    order with each word carried as a row of symbol indices.  A pre-necklace
+    a_1..a_t of period p extends only by symbols b >= a_(t+1-p); its period
+    stays p when b = a_(t+1-p) and becomes t+1 otherwise, and it is a
+    Lyndon word when its period is its length.
+
+    Every mode and every product is kept divided by its largest entry c_w,
+    with log c_w carried beside it, so that no product overflows however
+    long its word, and none underflows because the scales of the modes lie
+    far apart; the rate is exp((log c_w + log rho(A_w / c_w)) / |w|).  The
+    witness is the shortest, then lexicographically first (in alphabet
+    order), word attaining the maximum, in time order; it is always a
+    Lyndon word.
     """
-    n = sys.dimension
     modes = np.array([sys.modes[s] for s in sys.alphabet])
     mode_logs = _unit_scaled(modes)
+    symbols = np.arange(len(sys.alphabet))
     best = -math.inf
     best_word = None
-    prev, logs = np.eye(n)[None], np.zeros(1)
+    words, periods = symbols[:, None], np.ones_like(symbols)
+    prods, logs = modes, mode_logs
     for length in range(1, max_len + 1):
-        prev = np.matmul(modes[None], prev[:, None]).reshape(-1, n, n)
-        logs = (logs[:, None] + mode_logs).reshape(-1)
-        logs += _unit_scaled(prev)
-        radii = np.abs(np.linalg.eigvals(prev)).max(axis=1)
+        if length > 1:
+            floor = words[np.arange(len(words)), length - 1 - periods]
+            parent, sym = np.nonzero(symbols >= floor[:, None])
+            periods = np.where(sym == floor[parent], periods[parent], length)
+            words = np.column_stack((words[parent], sym))
+            prods = np.matmul(modes[sym], prods[parent])
+            logs = logs[parent] + mode_logs[sym]
+            logs += _unit_scaled(prods)
+        lyndon = np.flatnonzero(periods == length)
+        if not lyndon.size:
+            continue
+        radii = np.abs(np.linalg.eigvals(prods[lyndon])).max(axis=1)
         with np.errstate(divide="ignore"):
             growth = np.log(radii)
-        growth += logs
+        growth += logs[lyndon]
         growth /= length
         np.exp(growth, out=growth)
         peak = float(growth.max())
         tie = _TIE_TOL * max(1.0, abs(peak))
         if peak > best + tie:
-            index = int(np.argmax(growth >= peak - tie))
             best = peak
-            best_word = _word_at(index, length, sys.alphabet)
+            first = lyndon[int(np.argmax(growth >= peak - tie))]
+            best_word = tuple(sys.alphabet[i] for i in words[first])
     return best, best_word
 
 

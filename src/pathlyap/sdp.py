@@ -21,11 +21,12 @@ the identity assignment (the cold start) has a margin of at least twice
 :data:`FEASIBILITY_THRESHOLD`, so its probe is feasible, and it only moves
 onto feasible probes.  The lower end is the anchor: the largest growth rate
 of a short product, rho(A_w)^(1/|w|) over every word up to the longest
-length whose word count stays within :data:`_ANCHOR_WORDS`.  No rate at or
-below the joint spectral radius has a certificate, so the anchor is
-infeasible on every graph without a probe.  The bracket is searched in log
-scale above the anchor (:func:`_log_midpoint`), so a bound that sits on a
-short product takes a handful of probes.  Bisection reads only the sign of
+length whose word count stays within :data:`_ANCHOR_WORDS`, of which only
+the Lyndon words are eigensolved.  No rate at or below the joint spectral
+radius has a certificate, so the anchor is infeasible on every graph
+without a probe.  The bracket is searched in log scale above the anchor
+(:func:`_log_midpoint`), so a bound that sits on a short product takes a
+handful of probes.  Bisection reads only the sign of
 each probe's margin, so its probes run ``solve_margin`` in sign-only mode,
 which stops each solve once the kernel has certified which side of
 :data:`FEASIBILITY_THRESHOLD` the optimum lies on.  Every probe after the
@@ -66,7 +67,7 @@ from .lyapunov import (
 FEASIBILITY_THRESHOLD = 1e-7
 
 _BISECT_LIMIT = 200
-# most words enumerated for the anchor at the bracket's lower end
+# most words covered by the anchor at the bracket's lower end
 _ANCHOR_WORDS = 1000
 
 
@@ -291,8 +292,9 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
     Seeds: from below, the anchor, the largest rho(A_w)^(1/|w|) over all
     words of up to L symbols, with L the longest length whose words number
     at most :data:`_ANCHOR_WORDS` (8 for two modes, 5 for three, 1 for one
-    mode): no rate at or below the joint spectral radius can be certified,
-    so it needs no probe.  From above, max(1.01 ||A||, (||A||^2 +
+    mode); :func:`pathlyap.lyapunov.product_growth` eigensolves only their
+    Lyndon words (71 for two modes, 80 for three).  No rate at or below
+    the joint spectral radius can be certified, so it needs no probe.  From above, max(1.01 ||A||, (||A||^2 +
     2 FEASIBILITY_THRESHOLD)^(1/2)) with ||A|| the largest single-mode
     2-norm: there the identity assignment has margin min(1, rho^2 -
     ||A||^2), at least twice the threshold, so this seed is feasible also

@@ -61,12 +61,14 @@ def simulate(sys, word, x0):
 def jsr_lower_bound(sys, max_len, cap=None):
     """Largest spectral-radius(A_w)^(1/|w|) over words with 1 <= |w| <= max_len.
 
-    Exhaustive: every product is formed and eigensolved by
-    :func:`pathlyap.lyapunov.product_growth`, scaled so that no product
-    overflows or underflows.  The witness is the shortest, then lexicographically
-    first (in alphabet order), word attaining the maximum, reported in time
-    order.  Raises ResourceLimitError when the total word count would
-    exceed the cap.
+    Exhaustive over every word up to max_len: a rotation of a word, or a
+    power of it, has its rate, so
+    :func:`pathlyap.lyapunov.product_growth` forms only the products of
+    pre-necklaces and eigensolves only the Lyndon words, scaled so that no
+    product overflows or underflows.  The witness is the shortest, then
+    lexicographically first (in alphabet order), word attaining the
+    maximum, reported in time order.  Raises ResourceLimitError when the
+    count of every word up to max_len would exceed the cap.
     """
     max_len = int(max_len)
     if max_len < 1:

@@ -158,6 +158,51 @@ def stem_shift_includes(symbol, source_stem, target_stem):
 
 
 # ---------------------------------------------------------------------------
+# short-product growth by eigensolving every word
+# ---------------------------------------------------------------------------
+
+def all_words_growth(system, max_len):
+    """Largest rho(A_w)^(1/|w|) over every word with 1 <= |w| <= max_len,
+    and its witness in time order.
+
+    Every product is formed, newest mode on the left, and eigensolved, with
+    no use of rotations or powers.  Each product is kept divided by its
+    largest entry c_w, with log c_w carried beside it.  The witness is the
+    shortest, then lexicographically first (in alphabet order), word whose
+    rate is within 1e-12 (relative) of the best, so that eigensolves of
+    similar products cannot steal a tie.
+    """
+    alphabet = system.alphabet
+    n = system.dimension
+
+    def unit_scaled(stack):
+        peak = np.abs(stack).max(axis=(1, 2))
+        peak[peak == 0.0] = 1.0
+        stack /= peak[:, None, None]
+        return np.log(peak)
+
+    modes = np.array([system.modes[s] for s in alphabet])
+    mode_logs = unit_scaled(modes)
+    best, best_word = -np.inf, None
+    prods, logs = np.eye(n)[None], np.zeros(1)
+    for length in range(1, max_len + 1):
+        # word index i * |alphabet| + s is word i followed by symbol s
+        prods = np.matmul(modes[None], prods[:, None]).reshape(-1, n, n)
+        logs = (logs[:, None] + mode_logs).reshape(-1) + unit_scaled(prods)
+        radii = np.abs(np.linalg.eigvals(prods)).max(axis=1)
+        with np.errstate(divide="ignore"):
+            growth = np.exp((np.log(radii) + logs) / length)
+        peak = float(growth.max())
+        tie = 1e-12 * max(1.0, abs(peak))
+        if peak > best + tie:
+            best = peak
+            first = int(np.argmax(growth >= peak - tie))
+            best_word = next(itertools.islice(
+                itertools.product(alphabet, repeat=length), first, None))
+    return best, best_word
+
+
+# ---------------------------------------------------------------------------
 # grid-search oracle for the single-variable 2x2 margin program
 # ---------------------------------------------------------------------------
 

@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 
+from oracles import all_words_growth
 from pathlyap.covering import prefix_covering
 from pathlyap.errors import InvariantViolation, ResourceLimitError
 from pathlyap.fixtures import (
@@ -16,6 +17,7 @@ from pathlyap.lyapunov import (
     QuadraticCertificate,
     SwitchedLinearSystem,
     lift_certificate,
+    product_growth,
 )
 from pathlyap.observer import ObserverGraph, observer_graph
 from pathlyap.sdp import jsr_upper_bound
@@ -117,6 +119,19 @@ def test_lower_bound_tie_prefers_shortest_then_lex():
     assert witness == ("b",)
 
 
+def test_lower_bound_tie_within_tolerance_prefers_lex():
+    """b is a conjugated by a cyclic permutation, so both modes have
+    spectral radius (3 + 33^(1/2)) / 2; their float rates may differ in the
+    last bits, and the first symbol within the tie tolerance is kept."""
+    a = np.array([[2.0, -3.0, -2.0], [-2.0, -2.0, 2.0], [3.0, 1.0, -3.0]])
+    shift = np.roll(np.eye(3), 1, axis=0)
+    sys = SwitchedLinearSystem(("a", "b"), 3, {"a": a,
+                                               "b": shift @ a @ shift.T})
+    rho, witness = jsr_lower_bound(sys, 1)
+    assert rho == pytest.approx((3.0 + 33.0 ** 0.5) / 2.0, rel=1e-12)
+    assert witness == ("a",)
+
+
 def test_lower_bound_word_cap():
     with pytest.raises(ResourceLimitError):
         jsr_lower_bound(demo_system(), 25)
@@ -175,6 +190,85 @@ def test_lower_bound_of_modes_at_extreme_scales(system, length, rho, witness):
     # the scaled diagonal of huge-norm is subnormal, with about 15 digits
     assert got == pytest.approx(rho, rel=1e-12)
     assert word == witness
+
+
+def oracle_system(seed):
+    """Seeded system of 1-3 symbols and dimension 1-3, whose modes are
+    Gaussian, rank-one, or small integers (whose rotated products tie
+    exactly), or a mix of the three."""
+    rng = np.random.default_rng(seed)
+    symbols, n, kind = 1 + seed % 3, 1 + seed // 3 % 3, seed // 9 % 4
+    kinds = (
+        lambda: rng.standard_normal((n, n)),
+        lambda: np.outer(rng.standard_normal(n), rng.standard_normal(n)),
+        lambda: rng.integers(-2, 3, (n, n)).astype(float),
+    )
+    alphabet = ("a", "b", "c")[:symbols]
+    modes = {s: kinds[kind if kind < 3 else rng.integers(3)]()
+             for s in alphabet}
+    return SwitchedLinearSystem(alphabet, n, modes)
+
+
+def test_lyndon_growth_matches_all_words_oracle():
+    for seed in range(120):
+        system = oracle_system(seed)
+        length = {1: 6, 2: 8, 3: 5}[len(system.alphabet)]
+        rho, witness = product_growth(system, length)
+        expected, expected_witness = all_words_growth(system, length)
+        assert witness == expected_witness, seed
+        assert rho == pytest.approx(expected, rel=1e-12), seed
+
+
+@pytest.mark.parametrize("system, length, solved", [
+    (demo_system, 8, 71),
+    (mixed_scale_system, 5, 80),
+    (demo_system, 14, 2538),
+], ids=["two-symbols-8", "three-symbols-5", "two-symbols-14"])
+def test_only_lyndon_words_are_eigensolved(monkeypatch, system, length,
+                                           solved):
+    solve = np.linalg.eigvals
+    handed = []
+
+    def counted(stack):
+        handed.append(len(stack))
+        return solve(stack)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    product_growth(system(), length)
+    assert sum(handed) == solved
+
+
+def test_lower_bound_witness_of_a_near_singular_product():
+    """Each mode is rank one up to entries of 1e-7, and the float rates of
+    the rotations of the witness abb differ in their last bits."""
+    sys = SwitchedLinearSystem(("a", "b"), 2, {
+        "a": np.array([[0.9999993, -2.0000007], [0.9999993, -2.0000006]]),
+        "b": np.array([[8e-7, 3.0000009], [-7e-7, 0.9999991]]),
+    })
+    rotations = [("a", "b", "b"), ("b", "a", "b"), ("b", "b", "a")]
+    rates = {
+        max(abs(np.linalg.eigvals(
+            sys.modes[w[2]] @ sys.modes[w[1]] @ sys.modes[w[0]]))) ** (1 / 3)
+        for w in rotations
+    }
+    assert len(rates) > 1
+    rho, witness = jsr_lower_bound(sys, 6)
+    expected, expected_witness = all_words_growth(sys, 6)
+    assert witness == expected_witness == ("a", "b", "b")
+    assert rho == pytest.approx(expected, rel=1e-12)
+
+
+def test_lower_bound_skips_powers_of_a_defective_mode():
+    """The mode's eigenvalue -1 has a Jordan block of size two, so the
+    eigensolve of its powers errs by about 1e-8; the rate of a^k is the
+    rate of a, which is read off a alone."""
+    sys = SwitchedLinearSystem(("a",), 3, {
+        "a": np.array([[1.0, -1.0, -1.0], [1.0, -1.0, 0.0],
+                       [-1.0, 0.0, -1.0]]),
+    })
+    rho, witness = jsr_lower_bound(sys, 7)
+    assert rho == pytest.approx(1.0, rel=1e-12)
+    assert witness == ("a",)
 
 
 # ---------------------------------------------------------------------------
