@@ -23,6 +23,7 @@ from .graphs import (
     LabeledGraph,
     _explore_subsets,
     _node_mask,
+    _parts_expander,
     _successor_steps,
     _word_to,
     graph_from_json,
@@ -144,7 +145,7 @@ def language_includes(sub: Automaton, sup: Automaton, cap=None) -> bool:
         raise ValueError("inclusion requires a common alphabet")
     steps, start, (sub_final, sup_final) = _parts([sub, sup])
     _, hit = _explore_subsets(
-        sub.graph.alphabet, steps, start,
+        sub.graph.alphabet, _parts_expander(steps), start,
         state_cap(cap, DEFAULT_SUBSET_CAP),
         lambda s: s[0] & sub_final and not s[1] & sup_final,
     )
@@ -165,7 +166,7 @@ def universality_witness(automata, cap=None):
     alphabet = _common_alphabet(automata)
     steps, start, finals = _parts(automata)
     parent, hit = _explore_subsets(
-        alphabet, steps, start,
+        alphabet, _parts_expander(steps), start,
         state_cap(cap, DEFAULT_SUBSET_CAP),
         lambda s: not any(map(and_, s, finals)),
     )

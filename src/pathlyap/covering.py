@@ -36,6 +36,7 @@ from .graphs import (
     LabeledGraph,
     _explore_subsets,
     _members,
+    _parts_expander,
     _word_name,
     _word_to,
     dual,
@@ -186,12 +187,13 @@ def validate_covering(c, cap=None):
     n = len(names)
     steps, initial, finals = _parts([m.automaton for m in c.members])
     bits = [1 << k for k in range(n)]
+    expand = _parts_expander(steps * 2)
     witness = None
     edges = []
     for i, h in enumerate(c.alphabet):
         stepped = tuple(part[i][mask] for part, mask in zip(steps, initial))
         parent, _ = _explore_subsets(
-            c.alphabet, steps * 2, initial + stepped, limit
+            c.alphabet, expand, initial + stepped, limit
         )
         if i == 0:
             uncovered = next(

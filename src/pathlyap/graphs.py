@@ -10,8 +10,8 @@ outputs are deterministic.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
+from operator import not_
 
 from .errors import (
     DEFAULT_SUBSET_CAP,
@@ -163,7 +163,9 @@ class _Step(dict):
 
     A mask holds bit i for node i of the graph (in node order); looking a
     mask up gives the mask of all its members' successors.  `succ[i]` is
-    the successor mask of node i alone.
+    the successor mask of node i alone.  Multi-part explorations step
+    through these: parts on equal graphs share the memo, so a mask that
+    several parts (or several runs) reach is stepped bit by bit once.
     """
 
     __slots__ = ("succ",)
@@ -198,8 +200,9 @@ def _members(items, mask):
 
 
 def _successor_steps(graphs):
-    """Per graph, one `_Step` per alphabet symbol.  Equal graphs share
-    their steps, so every part built on one graph shares one memo."""
+    """Per graph, one `_Step` per alphabet symbol, for multi-part
+    explorations.  Equal graphs share their steps, so every part built on
+    one graph shares one memo."""
     shared = {}
     steps = []
     for g in graphs:
@@ -214,38 +217,86 @@ def _successor_steps(graphs):
     return steps
 
 
-def _explore_subsets(alphabet, steps, start, limit, stop=None):
-    """Breadth-first subset construction over several parts at once.
+def _parts_expander(steps):
+    """`_explore_subsets` expansion for multi-part states: a tuple of node
+    masks, one per part, where `steps[k]` is part k's `_successor_steps`
+    entry.  Each symbol maps every part's mask to its successor mask; only
+    parts with a nonempty mask are stepped, since the empty mask stays
+    empty."""
+    moves = list(zip(*steps))
 
-    A part is one graph (or automaton) read from its own start subset.  A
-    state holds one node mask per part (see `_Step`), `start` is the tuple
-    of start masks, and `steps[k]` is part k's `_successor_steps` entry.
-    Each symbol maps every part's mask to its successor mask; only parts
-    with a nonempty mask are stepped, since the empty mask stays empty.
-    Symbols are tried in alphabet order, so the parent links spell the
-    shortest word reaching each state, ties broken lexicographically.
-    Exploration ends at the first state (start included) for which `stop`
-    holds; that state is not counted against `limit`.  Raises
-    ResourceLimitError when more than `limit` states are discovered.
+    def expand(state):
+        live = list(itertools.compress(range(len(state)), state))
+        out = []
+        for step in moves:
+            nxt = [0] * len(state)
+            for k in live:
+                nxt[k] = step[k][state[k]]
+            out.append(tuple(nxt))
+        return out
+
+    return expand
+
+
+def _mask_expander(g):
+    """`_explore_subsets` expansion for one part on g: maps a node mask to
+    its successor masks, one per symbol in alphabet order.
+
+    The successor of a mask is the OR, over its 4-bit chunks (nodes 4j to
+    4j + 3), of a 16-entry table of those nodes' successor unions, built
+    once per graph.  Every symbol's successor mask is packed into one table
+    entry, n bits per symbol, so one lookup per chunk steps every symbol.
+    """
+    n = len(g.nodes)
+    index = {v: i for i, v in enumerate(g.nodes)}
+    offset = {sym: h * n for h, sym in enumerate(g.alphabet)}
+    packed = [0] * n
+    for src, dst, sym in g.edges:
+        packed[index[src]] |= 1 << (offset[sym] + index[dst])
+    chunks = []
+    for j in range(0, n, 4):
+        table = [0]
+        for row in packed[j:j + 4]:
+            table += [entry | row for entry in table]
+        chunks.append((j, table))
+    full = (1 << n) - 1
+    offsets = offset.values()
+
+    def expand(mask):
+        both = 0
+        for j, table in chunks:
+            both |= table[mask >> j & 15]
+        return [both >> k & full for k in offsets]
+
+    return expand
+
+
+def _explore_subsets(alphabet, expand, start, limit, stop=None):
+    """Breadth-first subset construction.
+
+    A state is whatever `expand` steps: `expand(state)` returns its
+    successor states, one per symbol of `alphabet`, in alphabet order.
+    One-part searches use a single node mask (`_mask_expander`); several
+    parts, each a graph or automaton read from its own start subset, use a
+    tuple of masks (`_parts_expander`).  Symbols are tried in alphabet
+    order, so the parent links spell the shortest word reaching each
+    state, ties broken lexicographically.  Exploration ends at the first
+    state (start included) for which `stop` holds; that state is not
+    counted against `limit`.  Raises ResourceLimitError when more than
+    `limit` states are discovered.
 
     Returns (parent, hit): `parent` maps every discovered state, in
     discovery order, to (previous state, symbol), or to None for `start`;
     `hit` is the stop state, or None when exploration completed, in which
-    case every state in `parent` was expanded.
+    case every state in `parent` was expanded, in discovery order.
     """
     parent = {start: None}
     if stop is not None and stop(start):
         return parent, start
-    moves = [(sym, [part[i] for part in steps]) for i, sym in enumerate(alphabet)]
-    blank = [0] * len(start)
-    queue = deque([(start, [k for k, mask in enumerate(start) if mask])])
-    while queue:
-        current, live = queue.popleft()
-        for sym, step in moves:
-            nxt = blank[:]
-            for k in live:
-                nxt[k] = step[k][current[k]]
-            nxt = tuple(nxt)
+    # states are expanded in discovery order; the list grows as it is read
+    queue = [start]
+    for current in queue:
+        for sym, nxt in zip(alphabet, expand(current)):
             if nxt in parent:
                 continue
             parent[nxt] = (current, sym)
@@ -255,7 +306,7 @@ def _explore_subsets(alphabet, steps, start, limit, stop=None):
                 raise ResourceLimitError(
                     f"subset exploration exceeded {limit} subsets"
                 )
-            queue.append((nxt, [k for k in live if nxt[k]]))
+            queue.append(nxt)
     return parent, None
 
 
@@ -272,20 +323,19 @@ def _word_to(parent, state):
 def find_unreadable_word(g: LabeledGraph, cap=None):
     """Shortest word with no reading path in g, or None if all words read.
 
-    Runs `_explore_subsets` on one part, g from its full node set,
-    stopping at the empty subset: the symbols consumed to reach it form an
-    unreadable word.  The word is returned most recent symbol first
-    (reverse of the order the symbols were consumed in), matching the
-    memory-word convention used by the automata layer; reverse it for
-    trajectory order.
+    Runs `_explore_subsets` on one node mask, g's full node set, stepped by
+    `_mask_expander`, stopping at the empty mask: the symbols consumed to
+    reach it form an unreadable word.  The word is returned most recent
+    symbol first (reverse of the order the symbols were consumed in),
+    matching the memory-word convention used by the automata layer; reverse
+    it for trajectory order.
 
     Raises ResourceLimitError when more than `cap` distinct subsets appear
     (default 2^20, env-overridable).
     """
     limit = state_cap(cap, DEFAULT_SUBSET_CAP)
     parent, hit = _explore_subsets(
-        g.alphabet, _successor_steps([g]), ((1 << len(g.nodes)) - 1,), limit,
-        lambda s: not s[0],
+        g.alphabet, _mask_expander(g), (1 << len(g.nodes)) - 1, limit, not_
     )
     return None if hit is None else _word_to(parent, hit)
 

@@ -12,7 +12,7 @@ maps each node name to that frozenset.
 """
 
 from dataclasses import dataclass, field
-from operator import methodcaller
+from operator import methodcaller, not_
 
 from .errors import (
     InvariantViolation,
@@ -26,8 +26,8 @@ from .errors import (
 from .graphs import (
     LabeledGraph,
     _explore_subsets,
+    _mask_expander,
     _members,
-    _successor_steps,
     _word_to,
     graph_from_json,
 )
@@ -81,31 +81,38 @@ def observer_from_json(d):
 def observer_graph(g, cap=None):
     """Determinize ``g`` by subset construction from the full node set.
 
-    Runs `graphs._explore_subsets` on one part, g from its full node set,
-    stopping at the empty subset, and turns node masks back into node names
-    only for the subsets it found.  Raises NotPathCompleteError (with the
-    offending word, most recent symbol first) when an empty subset is
-    reached, and ResourceLimitError when the number of discovered subsets
-    exceeds the cap (default 2^20, env-overridable).
+    Runs `graphs._explore_subsets` on one node mask, g's full node set,
+    stepped by `graphs._mask_expander`, stopping at the empty mask.  The
+    successors of every expanded mask are kept for the edges, and node
+    masks are turned back into node names only for the subsets found.
+    Raises NotPathCompleteError (with the offending word, most recent
+    symbol first) when an empty subset is reached, and ResourceLimitError
+    when the number of discovered subsets exceeds the cap (default 2^20,
+    env-overridable).
     """
-    steps = _successor_steps([g])
+    step = _mask_expander(g)
+    successors = {}
+
+    def expand(mask):
+        successors[mask] = out = step(mask)
+        return out
+
     parent, hit = _explore_subsets(
-        g.alphabet, steps, ((1 << len(g.nodes)) - 1,), state_cap(cap),
-        lambda s: not s[0],
+        g.alphabet, expand, (1 << len(g.nodes)) - 1, state_cap(cap), not_
     )
     if hit is not None:
         raise NotPathCompleteError(_word_to(parent, hit))
     subset_map = {}
     names = {}
-    for (mask,) in parent:
+    for mask in parent:
         subset = frozenset(_members(g.nodes, mask))
         names[mask] = _subset_name(subset)
         subset_map[names[mask]] = subset
-    # each state was expanded, so the memo holds every successor
+    # exploration completed, so every discovered mask was expanded
     edges = [
-        (names[mask], names[step[mask]], symbol)
-        for mask in names
-        for symbol, step in zip(g.alphabet, steps[0])
+        (names[mask], names[nxt], symbol)
+        for mask, out in successors.items()
+        for symbol, nxt in zip(g.alphabet, out)
     ]
     graph = LabeledGraph(g.alphabet, tuple(subset_map), edges)
     return ObserverGraph(graph=graph, root=graph.nodes[0], subset_map=subset_map)

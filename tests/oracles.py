@@ -2,11 +2,14 @@
 
 Everything in here is deliberately naive: explicit word enumeration and
 per-word path searches, no subset construction, no worklists, no shared
-state across words.  The only allowed overlap with the package under test
-is the mathematics itself.
+state across words.  The one exception is `memo_unreadable_word`, the
+package's earlier subset search, kept as the reference for the successor
+tables that replaced it.  The only allowed overlap with the package under
+test is the mathematics itself.
 """
 
 import itertools
+from collections import deque
 
 import numpy as np
 
@@ -84,6 +87,52 @@ def enumerate_unreadable(nodes, edges, alphabet, max_len, chunk=1 << 22):
 def oracle_is_path_complete(nodes, edges, alphabet):
     """Brute-force path-completeness: every word up to length 2^|N| readable."""
     return enumerate_unreadable(nodes, edges, alphabet, 2 ** len(nodes))
+
+
+def memo_unreadable_word(g):
+    """Shortest unreadable word of the graph g, most recent symbol first,
+    or None when every word reads.
+
+    Breadth-first subset construction from the full node set with symbols
+    in alphabet order, so the first empty subset found is reached by the
+    shortlex-first unreadable word.  A state is a 1-tuple of a node mask
+    (bit i for g.nodes[i]); each successor is built bit by bit from the
+    nodes' own successor masks and memoized per symbol.  No cap.
+    """
+    index = {v: i for i, v in enumerate(g.nodes)}
+    succ = {h: [0] * len(g.nodes) for h in g.alphabet}
+    for p, q, h in g.edges:
+        succ[h][index[p]] |= 1 << index[q]
+    memo = {h: {0: 0} for h in g.alphabet}
+
+    def step(h, mask):
+        if mask not in memo[h]:
+            out, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                out |= succ[h][low.bit_length() - 1]
+                rest ^= low
+            memo[h][mask] = out
+        return memo[h][mask]
+
+    start = ((1 << len(g.nodes)) - 1,)
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        for h in g.alphabet:
+            state = (step(h, current[0]),)
+            if state in parent:
+                continue
+            parent[state] = (current, h)
+            if not state[0]:
+                word = []
+                while parent[state] is not None:
+                    state, sym = parent[state]
+                    word.append(sym)
+                return tuple(word)
+            queue.append(state)
+    return None
 
 
 # ---------------------------------------------------------------------------

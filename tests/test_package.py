@@ -17,6 +17,7 @@ import pathlyap
 
 SRC = Path(pathlyap.__file__).resolve().parents[1]
 README = Path(__file__).resolve().parents[1] / "README.md"
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # the names the package exported when it imported every submodule eagerly,
 # by the submodule that defines them
@@ -102,6 +103,20 @@ def test_every_json_reader_turns_type_errors_into_input_errors():
     assert len(readers) >= 6
     for name in readers:
         assert hasattr(getattr(pathlyap, name), "__wrapped__"), name
+
+
+def test_every_benchmark_lookup_site_resolves():
+    # the benchmark tracer wraps each (module, attribute) of its SITES and
+    # reports a site that has gone as an absent metric; a renamed lookup
+    # site fails here instead.  The tracer is read from source, so nothing
+    # is written beside it.
+    tracing = {}
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), tracing)
+    sites = {(module, attr) for module, attr, *_ in tracing["SITES"]}
+    assert len(sites) >= 15
+    for module, attr in sorted(sites):
+        target = getattr(importlib.import_module(module), attr, None)
+        assert callable(target), f"{module}.{attr}"
 
 
 def test_star_import_gives_the_same_public_names():

@@ -1,12 +1,15 @@
 """The shared subset exploration, checked through every caller against the
 brute-force oracles, and its cap thresholds pinned.
 
-`graphs._explore_subsets` runs one node mask per part (one graph or
-automaton read from its own start set); parts on equal graphs share one
-successor memo.  The tests below mix parts on one shared graph, on equal
-but distinct graphs, and on distinct graphs.
+`graphs._explore_subsets` steps one node mask through 4-bit successor
+tables in the one-part searches, and a tuple of node masks, one per part
+(one graph or automaton read from its own start set), in the multi-part
+ones, where parts on equal graphs share one successor memo.  The tests
+below check the tables against the earlier memoized search and mix parts
+on one shared graph, on equal but distinct graphs, and on distinct graphs.
 """
 
+import hashlib
 import itertools
 import json
 
@@ -20,7 +23,13 @@ from conftest import (
     random_path_complete_graph,
     union_automaton,
 )
-from oracles import enumerate_unreadable, nfa_accepts, word_is_readable, words_up_to
+from oracles import (
+    enumerate_unreadable,
+    memo_unreadable_word,
+    nfa_accepts,
+    word_is_readable,
+    words_up_to,
+)
 from pathlyap import automata, cli, covering, graphs
 from pathlyap.automata import (
     Automaton,
@@ -37,7 +46,12 @@ from pathlyap.covering import (
     validate_covering,
 )
 from pathlyap.errors import ResourceLimitError
-from pathlyap.graphs import LabeledGraph, de_bruijn, find_unreadable_word
+from pathlyap.graphs import (
+    LabeledGraph,
+    _mask_expander,
+    de_bruijn,
+    find_unreadable_word,
+)
 from pathlyap.observer import observer_graph
 
 AB = ("a", "b")
@@ -84,6 +98,18 @@ def accepted(a, word):
     return nfa_accepts(a.graph.edges, a.initial, a.accepting, word)
 
 
+def sparse_graph(rng, n, n_syms):
+    """n nodes over n_syms symbols with 0 to 2 targets per (node, symbol)."""
+    nodes = tuple(f"n{i}" for i in range(n))
+    alphabet = ("a", "b", "c")[:n_syms]
+    edges = [
+        (p, nodes[t], h) for p in nodes for h in alphabet
+        for t in rng.choice(n, size=int(rng.integers(0, min(2, n) + 1)),
+                            replace=False)
+    ]
+    return LabeledGraph(alphabet, nodes, edges)
+
+
 def random_automaton(rng, alphabet, max_states=4):
     n = int(rng.integers(1, max_states + 1))
     g = random_graph(rng, n, len(alphabet), density=1.3 / n)
@@ -117,6 +143,71 @@ def test_unreadable_word_is_shortlex_first_of_enumeration():
         )
         assert tuple(reversed(w)) == first
     assert found > 20
+
+
+def test_unreadable_word_matches_memo_oracle():
+    """The successor-table search returns the memoized tuple-state search's
+    witness, None included, on 320 sparse graphs of 1 to 20 nodes (every
+    size cycles through every node count mod 4, so every table-chunk edge)
+    and on two graphs whose masks pass 64 bits."""
+    rng = np.random.default_rng(105)
+    sample = [sparse_graph(rng, i % 20 + 1, int(rng.integers(1, 4)))
+              for i in range(320)]
+    sample += [sparse_graph(np.random.default_rng(3), 72, 2),
+               de_bruijn(("a", "b", "c"), 4)]
+    witnesses = [find_unreadable_word(g) for g in sample]
+    assert witnesses == [memo_unreadable_word(g) for g in sample]
+    assert 60 < witnesses.count(None) < 260
+    assert witnesses[-2] is not None and witnesses[-1] is None
+
+
+def test_successor_tables_step_every_mask():
+    """For every node mask of graphs with 1 to 9 nodes, each symbol's table
+    successor is the union of the members' successors."""
+    rng = np.random.default_rng(106)
+    for n in range(1, 10):
+        for _ in range(3):
+            g = sparse_graph(rng, n, int(rng.integers(1, 4)))
+            expand = _mask_expander(g)
+            for mask in range(1 << n):
+                members = {g.nodes[i] for i in range(n) if mask >> i & 1}
+                union = [
+                    sum({1 << g.nodes.index(q) for p, q, s in g.edges
+                         if s == h and p in members})
+                    for h in g.alphabet
+                ]
+                assert expand(mask) == union, (g, mask)
+
+
+def benchmark_bases():
+    """The covering benchmark's seed-1 observer inputs: 2-symbol De Bruijn 5
+    and 3-symbol De Bruijn 3, nodes renamed and listed in a seeded order."""
+    rng = np.random.default_rng(1)
+    bases = []
+    for alphabet, order in ((AB, 5), (("a", "b", "c"), 3)):
+        g = de_bruijn(alphabet, order)
+        perm = rng.permutation(len(g.nodes))
+        names = {g.nodes[i]: f"v{j}" for j, i in enumerate(perm)}
+        bases.append(LabeledGraph(
+            alphabet, tuple(names[g.nodes[i]] for i in perm),
+            [(names[p], names[q], h) for p, q, h in g.edges],
+        ))
+        rng.permutation(len(g.nodes))  # the benchmark's stem order
+    return bases
+
+
+def test_observer_json_is_pinned_on_benchmark_graphs():
+    """Observer JSON, node order included, digested as the memoized
+    tuple-state construction produced it."""
+    digests = [
+        hashlib.sha256(json.dumps(observer_graph(g).to_json(),
+                                  sort_keys=True).encode()).hexdigest()
+        for g in benchmark_bases()
+    ]
+    assert digests == [
+        "6e37d04f618a1967af2661e40f50f4da30b7c4126842f259fca671b23031a9fd",
+        "069bc99cdd98ba3eb1b1735d4c1558d2de5f40cf95700cb61b81fbe12fe61a25",
+    ]
 
 
 def test_universality_over_parts_matches_brute_force():
