@@ -9,11 +9,11 @@ class is given by its alphabet and stem alone, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import and_
 
 from .errors import (
     DEFAULT_SUBSET_CAP,
+    Record,
     json_object,
     json_reader,
     json_strings,
@@ -39,30 +39,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Automaton:
+class Automaton(Record, value=True, frozen=True):
     """Nondeterministic finite automaton over a labeled graph.
 
     A word is accepted iff some path from an initial node reading it ends in
     an accepting node; ε is accepted iff initial and accepting intersect.
     """
 
-    graph: LabeledGraph
-    initial: frozenset
-    accepting: frozenset
+    __slots__ = ("graph", "initial", "accepting")
 
-    def __post_init__(self):
-        initial = frozenset(self.initial)
-        accepting = frozenset(self.accepting)
-        nodes = set(self.graph.nodes)
+    def __init__(self, graph, initial, accepting):
+        initial = frozenset(initial)
+        accepting = frozenset(accepting)
+        nodes = set(graph.nodes)
         if not initial:
             raise ValueError("initial state set must be nonempty")
         if not initial <= nodes:
             raise ValueError("initial states must be graph nodes")
         if not accepting <= nodes:
             raise ValueError("accepting states must be graph nodes")
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "accepting", accepting)
+        self._freeze(graph, initial, accepting)
 
     def to_json(self) -> dict:
         d = self.graph.to_json()
@@ -73,11 +69,27 @@ class Automaton:
 
 @json_reader("automaton")
 def automaton_from_json(data: dict) -> Automaton:
+    return _read_automaton(data, [])
+
+
+def _read_automaton(data, graphs):
+    """The automaton of `data`, reusing a graph read before.
+
+    `graphs` lists the ((alphabet, nodes, edges) JSON, graph) pairs read so
+    far.  When this automaton's three graph fields equal a listed pair's
+    JSON, its graph is that pair's graph, which is not read again: those
+    fields were read as arrays of strings, and only a string equals a
+    string, so equal JSON is the same, already checked, graph.  A graph
+    read anew is appended to `graphs`.
+    """
     json_object(data, "automaton",
                 ("alphabet", "nodes", "edges", "initial", "accepting"))
-    graph = graph_from_json(
-        {k: data[k] for k in ("alphabet", "nodes", "edges")}
-    )
+    fields = (data["alphabet"], data["nodes"], data["edges"])
+    graph = next((g for known, g in graphs if known == fields), None)
+    if graph is None:
+        graph = graph_from_json(dict(zip(("alphabet", "nodes", "edges"),
+                                         fields)))
+        graphs.append((fields, graph))
     initial = frozenset(json_strings(data["initial"], "automaton 'initial'"))
     accepting = frozenset(json_strings(data["accepting"], "automaton 'accepting'"))
     return Automaton(graph, initial, accepting)

@@ -8,7 +8,12 @@ numerical error.  Every command prints a short text summary by default;
 
 Each handler imports the library modules it runs, and nothing else is
 loaded: the ``graph``, ``observer`` and ``covering`` commands run without
-numpy, and ``jsr upper`` does not load the covering layer.
+numpy, and ``jsr upper`` does not load the covering layer.  The
+package's records are plain ``__slots__`` classes over
+:class:`pathlyap.errors.Record`, so no command loads the standard
+library's record decorator or the ``inspect`` module it imports.  The
+parser registers every command with its help, but a process attaches
+arguments only to the command it runs.
 
 Caps, from ``--cap`` or from the ``PATHLYAP_STATE_CAP`` environment
 variable, must be positive integers; any other value exits 2.
@@ -306,115 +311,138 @@ def _cmd_decrease_check(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _leaf(group, name, handler, help_text):
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that adds its pending arguments when it first
+    parses: a leaf's arguments are built only in the process that runs
+    that leaf."""
+
+    _pending = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        for flags, options in self._pending:
+            self.add_argument(*flags, **options)
+        self._pending = ()
+        return super().parse_known_args(args, namespace)
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+_OUTPUT_ARGS = (
+    _arg("--format", choices=("json", "text"), default="text",
+         help="stdout format (default text)"),
+    _arg("-o", "--output", metavar="FILE",
+         help="also write the JSON result to FILE"),
+)
+
+
+def _leaf(group, name, handler, help_text, *arguments):
     p = group.add_parser(name, help=help_text)
-    p.add_argument("--format", choices=("json", "text"), default="text",
-                   help="stdout format (default text)")
-    p.add_argument("-o", "--output", metavar="FILE",
-                   help="also write the JSON result to FILE")
     p.set_defaults(handler=handler)
-    return p
+    p._pending = _OUTPUT_ARGS + arguments
+
+
+def _group(sub, name, help_text):
+    return sub.add_parser(name, help=help_text).add_subparsers(
+        dest=f"{name}_command", required=True)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The `pathlyap` parser.  Every group and leaf is registered with its
+    help.  The root and group parsers take no option but -h, so the leading
+    tokens of a command line name its leaf, and a leaf's own arguments are
+    added only when that leaf parses."""
+    parser = _Parser(
         prog="pathlyap",
         description="Path-complete quadratic certificates and growth-rate "
                     "bounds for switched linear systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    graph = sub.add_parser("graph", help="labeled graph tools")
-    gsub = graph.add_subparsers(dest="graph_command", required=True)
-    p = _leaf(gsub, "check", _cmd_graph_check,
-              "check path-completeness, completeness, determinism")
-    p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--path-complete", action="store_true",
-                   dest="path_complete")
-    p.add_argument("--complete", action="store_true")
-    p.add_argument("--deterministic", action="store_true")
-    p.add_argument("--cap", type=int, default=None,
-                   help="state cap for the unreadable-word search")
-    p = _leaf(gsub, "debruijn", _cmd_graph_debruijn,
-              "generate a De Bruijn graph")
-    p.add_argument("-a", "--alphabet", required=True,
-                   help="comma separated symbols")
-    p.add_argument("-k", "--order", type=int, required=True)
-    p = _leaf(gsub, "dual", _cmd_graph_dual, "reverse every edge")
-    p.add_argument("graph", help="graph JSON file")
+    gsub = _group(sub, "graph", "labeled graph tools")
+    _leaf(gsub, "check", _cmd_graph_check,
+          "check path-completeness, completeness, determinism",
+          _arg("graph", help="graph JSON file"),
+          _arg("--path-complete", action="store_true", dest="path_complete"),
+          _arg("--complete", action="store_true"),
+          _arg("--deterministic", action="store_true"),
+          _arg("--cap", type=int, default=None,
+               help="state cap for the unreadable-word search"))
+    _leaf(gsub, "debruijn", _cmd_graph_debruijn, "generate a De Bruijn graph",
+          _arg("-a", "--alphabet", required=True,
+               help="comma separated symbols"),
+          _arg("-k", "--order", type=int, required=True))
+    _leaf(gsub, "dual", _cmd_graph_dual, "reverse every edge",
+          _arg("graph", help="graph JSON file"))
 
-    observer = sub.add_parser("observer", help="subset-construction tools")
-    osub = observer.add_subparsers(dest="observer_command", required=True)
-    p = _leaf(osub, "build", _cmd_observer_build,
-              "run the subset construction on a path-complete graph")
-    p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--cap", type=int, default=None)
-    p = _leaf(osub, "core", _cmd_observer_core,
-              "extract the unique terminal strongly connected part")
-    p.add_argument("observer", help="observer JSON file")
+    osub = _group(sub, "observer", "subset-construction tools")
+    _leaf(osub, "build", _cmd_observer_build,
+          "run the subset construction on a path-complete graph",
+          _arg("graph", help="graph JSON file"),
+          _arg("--cap", type=int, default=None))
+    _leaf(osub, "core", _cmd_observer_core,
+          "extract the unique terminal strongly connected part",
+          _arg("observer", help="observer JSON file"))
 
-    covering = sub.add_parser("covering", help="language covering tools")
-    csub = covering.add_subparsers(dest="covering_command", required=True)
-    p = _leaf(csub, "validate", _cmd_covering_validate,
-              "check coverage of all words and prepend closure")
-    p.add_argument("covering", help="covering JSON file")
-    p = _leaf(csub, "to-graph", _cmd_covering_to_graph,
-              "build the graph whose nodes are the family members")
-    p.add_argument("covering", help="covering JSON file")
-    p = _leaf(csub, "from-graph", _cmd_covering_from_graph,
-              "read a covering family off an observer")
-    p.add_argument("observer", help="observer JSON file")
+    csub = _group(sub, "covering", "language covering tools")
+    _leaf(csub, "validate", _cmd_covering_validate,
+          "check coverage of all words and prepend closure",
+          _arg("covering", help="covering JSON file"))
+    _leaf(csub, "to-graph", _cmd_covering_to_graph,
+          "build the graph whose nodes are the family members",
+          _arg("covering", help="covering JSON file"))
+    _leaf(csub, "from-graph", _cmd_covering_from_graph,
+          "read a covering family off an observer",
+          _arg("observer", help="observer JSON file"))
 
-    jsr = sub.add_parser("jsr", help="growth rate bounds")
-    jsub = jsr.add_subparsers(dest="jsr_command", required=True)
-    p = _leaf(jsub, "upper", _cmd_jsr_upper,
-              "certified upper bound by bisection over margin programs")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--system", required=True)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--cap", type=int, default=None,
-                   help="solver unknown-count cap")
-    p.add_argument("--allow-incomplete", action="store_true",
-                   help="proceed (with a warning) on non-path-complete "
-                        "graphs")
-    p = _leaf(jsub, "lower", _cmd_jsr_lower,
-              "exhaustive lower bound over bounded-length words")
-    p.add_argument("--system", required=True)
-    p.add_argument("--max-len", type=int, required=True, dest="max_len")
-    p.add_argument("--cap", type=int, default=None)
+    jsub = _group(sub, "jsr", "growth rate bounds")
+    _leaf(jsub, "upper", _cmd_jsr_upper,
+          "certified upper bound by bisection over margin programs",
+          _arg("--graph", required=True),
+          _arg("--system", required=True),
+          _arg("--tol", type=float, default=1e-4),
+          _arg("--cap", type=int, default=None,
+               help="solver unknown-count cap"),
+          _arg("--allow-incomplete", action="store_true",
+               help="proceed (with a warning) on non-path-complete "
+                    "graphs"))
+    _leaf(jsub, "lower", _cmd_jsr_lower,
+          "exhaustive lower bound over bounded-length words",
+          _arg("--system", required=True),
+          _arg("--max-len", type=int, required=True, dest="max_len"),
+          _arg("--cap", type=int, default=None))
 
-    certificate = sub.add_parser("certificate", help="certificate tools")
-    certsub = certificate.add_subparsers(dest="certificate_command",
-                                         required=True)
-    p = _leaf(certsub, "verify", _cmd_certificate_verify,
-              "independent eigenvalue check of a certificate")
-    p.add_argument("--certificate", required=True)
-    p.add_argument("--system", required=True)
-    p.add_argument("--rho-prime", type=float, default=None, dest="rho_prime")
-    p = _leaf(certsub, "lift", _cmd_certificate_lift,
-              "attach subset maxima to observer nodes")
-    p.add_argument("--certificate", required=True)
-    p.add_argument("--observer", required=True)
+    certsub = _group(sub, "certificate", "certificate tools")
+    _leaf(certsub, "verify", _cmd_certificate_verify,
+          "independent eigenvalue check of a certificate",
+          _arg("--certificate", required=True),
+          _arg("--system", required=True),
+          _arg("--rho-prime", type=float, default=None, dest="rho_prime"))
+    _leaf(certsub, "lift", _cmd_certificate_lift,
+          "attach subset maxima to observer nodes",
+          _arg("--certificate", required=True),
+          _arg("--observer", required=True))
 
-    p = _leaf(sub, "simulate", _cmd_simulate,
-              "iterate the system along a switching word")
-    p.add_argument("--system", required=True)
-    p.add_argument("--word", default="",
-                   help="comma separated symbols in time order")
-    p.add_argument("--x0", required=True, help="comma separated start state")
+    _leaf(sub, "simulate", _cmd_simulate,
+          "iterate the system along a switching word",
+          _arg("--system", required=True),
+          _arg("--word", default="",
+               help="comma separated symbols in time order"),
+          _arg("--x0", required=True, help="comma separated start state"))
 
-    p = _leaf(sub, "decrease-check", _cmd_decrease_check,
-              "sampled decrease check of a lifted certificate")
-    p.add_argument("--certificate", required=True)
-    p.add_argument("--observer", required=True)
-    p.add_argument("--system", required=True)
-    p.add_argument("--rho-prime", type=float, default=None, dest="rho_prime",
-                   help="scaled rate to check against (default 1.01 times "
-                        "the certified rate)")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--horizon", type=int, default=20)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    _leaf(sub, "decrease-check", _cmd_decrease_check,
+          "sampled decrease check of a lifted certificate",
+          _arg("--certificate", required=True),
+          _arg("--observer", required=True),
+          _arg("--system", required=True),
+          _arg("--rho-prime", type=float, default=None, dest="rho_prime",
+               help="scaled rate to check against (default 1.01 times "
+                    "the certified rate)"),
+          _arg("--trials", type=int, default=100),
+          _arg("--horizon", type=int, default=20),
+          _arg("--seed", type=int, default=None),
+          _arg("--tolerance", type=float, default=1e-9))
 
     return parser
 

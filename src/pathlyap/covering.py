@@ -11,20 +11,20 @@ covering family; the two translations invert each other on the observer's
 node languages.
 """
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import and_
 
 from .automata import (
     Automaton,
     _parts,
-    automaton_from_json,
+    _read_automaton,
     language_includes,  # unused here; perfbench/tracing.py wraps this name
     prefix_class_automaton,
     universality_witness,  # unused here; perfbench/tracing.py wraps this name
 )
 from .errors import (
     DEFAULT_SUBSET_CAP,
+    Record,
     json_array,
     json_object,
     json_reader,
@@ -46,21 +46,17 @@ from .graphs import (
 from .observer import observer_graph
 
 
-@dataclass(frozen=True)
-class CoveringMember:
+class CoveringMember(Record, value=True, frozen=True):
     """One language in a covering family.
 
     `stem` is recorded when the member is a prefix class, purely for
     naming and serialization; the automaton is always authoritative.
     """
 
-    name: str
-    automaton: Automaton
-    stem: tuple = None
+    __slots__ = ("name", "automaton", "stem")
 
-    def __post_init__(self):
-        if self.stem is not None:
-            object.__setattr__(self, "stem", tuple(self.stem))
+    def __init__(self, name, automaton, stem=None):
+        self._freeze(name, automaton, None if stem is None else tuple(stem))
 
     def to_json(self):
         if self.stem is not None:
@@ -68,14 +64,11 @@ class CoveringMember:
         return {"name": self.name, "automaton": self.automaton.to_json()}
 
 
-@dataclass(frozen=True)
-class CoveringFamily:
-    alphabet: tuple
-    members: tuple
+class CoveringFamily(Record, value=True, frozen=True):
+    __slots__ = ("alphabet", "members")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "members", tuple(self.members))
+    def __init__(self, alphabet, members):
+        self._freeze(tuple(alphabet), tuple(members))
         if not self.members:
             raise ValueError("a covering family needs at least one member")
         names = [m.name for m in self.members]
@@ -99,6 +92,7 @@ def covering_from_json(d):
     json_object(d, "covering", ("alphabet", "members"))
     alphabet = tuple(json_strings(d["alphabet"], "covering 'alphabet'"))
     members = []
+    graphs = []
     for entry in json_array(d["members"], "covering 'members'"):
         keys = set(json_object(entry, "covering member", ("name",),
                                ("stem", "automaton")))
@@ -108,7 +102,7 @@ def covering_from_json(d):
             auto = prefix_class_automaton(alphabet, stem)
             members.append(CoveringMember(name, auto, stem=stem))
         elif keys == {"name", "automaton"}:
-            auto = automaton_from_json(entry["automaton"])
+            auto = _read_automaton(entry["automaton"], graphs)
             members.append(CoveringMember(name, auto))
         else:
             raise ValueError(
@@ -118,8 +112,7 @@ def covering_from_json(d):
     return CoveringFamily(alphabet, tuple(members))
 
 
-@dataclass
-class CoveringReport:
+class CoveringReport(Record, value=True):
     """The verdict on a covering family and the two results it is read from.
 
     `uncovered_witness` is the shortlex-first word no member accepts, or
@@ -128,8 +121,11 @@ class CoveringReport:
     is valid; the family is prepend-closed exactly when `graph` is complete.
     """
 
-    uncovered_witness: tuple
-    graph: LabeledGraph
+    __slots__ = ("uncovered_witness", "graph")
+
+    def __init__(self, uncovered_witness, graph):
+        self.uncovered_witness = uncovered_witness
+        self.graph = graph
 
     @property
     def covers_all_words(self):

@@ -1,4 +1,5 @@
-"""Shared exceptions, resource caps, and the shape checks for JSON input.
+"""Shared exceptions, resource caps, the shape checks for JSON input, and
+the base class of the package's records.
 
 All potentially exponential constructions (subset exploration,
 determinization, word enumeration) carry a state cap and abort with
@@ -16,6 +17,68 @@ STATE_CAP_ENV = "PATHLYAP_STATE_CAP"
 DEFAULT_SUBSET_CAP = 1 << 20
 DEFAULT_WORD_CAP = 1 << 20
 DEFAULT_UNKNOWN_CAP = 64
+
+
+class Record:
+    """Base of the package's records: plain classes whose fields are their
+    ``__slots__``, in constructor order, shown by ``repr`` as
+    ``Name(field=value, ...)``.  A record has one of three kinds of
+    equality, chosen by its class keywords:
+
+    - by default, identity: a record equals only itself and hashes by
+      identity.  This suits records with numpy fields, on which value
+      equality is ill-defined.
+    - ``value=True``: equal to a record of the same class whose fields are
+      equal, and unhashable, since its fields may be reassigned.
+    - ``value=True, frozen=True``: value equality, hashed by its fields, and
+      immutable.
+
+    ``frozen=True`` makes a record immutable whatever its equality.  Its
+    ``__init__`` sets the fields through :meth:`_freeze`, which also keeps
+    them as one tuple for equality and hashing.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init_subclass__(cls, value=False, frozen=False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._frozen
+            if value:
+                cls.__eq__, cls.__hash__ = Record._key_eq, Record._key_hash
+        elif value:
+            fields = operator.attrgetter(*cls.__slots__)
+
+            def __eq__(self, other):
+                if other.__class__ is self.__class__:
+                    return fields(self) == fields(other)
+                return NotImplemented
+
+            cls.__eq__, cls.__hash__ = __eq__, None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _freeze(self, *values):
+        """Set a frozen record's fields, given in slot order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", values)
+
+    def _frozen(self, name, *value):
+        raise AttributeError(
+            f"{type(self).__qualname__} is frozen: cannot change {name!r}"
+        )
+
+    def _key_eq(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def _key_hash(self):
+        return hash(self._key)
 
 
 class ResourceLimitError(RuntimeError):
@@ -79,7 +142,8 @@ def json_strings(data, what):
     """`data`, once checked to be a JSON array of strings; a ValueError that
     names `what` otherwise."""
     for item in json_array(data, what):
-        json_string(item, f"each entry of {what}")
+        if not isinstance(item, str):
+            json_string(item, f"each entry of {what}")
     return data
 
 

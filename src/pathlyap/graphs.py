@@ -10,12 +10,12 @@ outputs are deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import not_
 
 from .errors import (
     DEFAULT_SUBSET_CAP,
     DEFAULT_WORD_CAP,
+    Record,
     ResourceLimitError,
     json_array,
     json_object,
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(Record, value=True, frozen=True):
     """Immutable labeled multigraph.
 
     Edges are canonicalized at construction: deduplicated and sorted by
@@ -45,13 +44,11 @@ class LabeledGraph:
     regardless of the edge order they were built with.
     """
 
-    alphabet: tuple[str, ...]
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str, str], ...]
+    __slots__ = ("alphabet", "nodes", "edges")
 
-    def __post_init__(self):
-        alphabet = tuple(self.alphabet)
-        nodes = tuple(self.nodes)
+    def __init__(self, alphabet, nodes, edges):
+        alphabet = tuple(alphabet)
+        nodes = tuple(nodes)
         if not alphabet:
             raise ValueError("alphabet must be nonempty")
         if len(set(alphabet)) != len(alphabet) or any(not s for s in alphabet):
@@ -63,7 +60,7 @@ class LabeledGraph:
         nidx = {v: i for i, v in enumerate(nodes)}
         sidx = {s: i for i, s in enumerate(alphabet)}
         seen = set()
-        for e in self.edges:
+        for e in edges:
             src, dst, sym = e
             if src not in nidx or dst not in nidx:
                 raise ValueError(f"edge {e} references unknown node")
@@ -71,9 +68,7 @@ class LabeledGraph:
                 raise ValueError(f"edge {e} uses unknown symbol {sym!r}")
             seen.add((src, dst, sym))
         edges = tuple(sorted(seen, key=lambda e: (nidx[e[0]], nidx[e[1]], sidx[e[2]])))
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
+        self._freeze(alphabet, nodes, edges)
 
     def out_map(self) -> dict[tuple[str, str], tuple[str, ...]]:
         """(node, symbol) -> tuple of successor nodes."""

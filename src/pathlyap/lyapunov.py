@@ -12,11 +12,11 @@ observer transitions at the same rate.
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    Record,
     json_array,
     json_integer,
     json_number,
@@ -53,22 +53,19 @@ def _square(value, name):
     return square
 
 
-@dataclass(eq=False)
-class SwitchedLinearSystem:
-    alphabet: tuple
-    dimension: int
-    modes: dict
+class SwitchedLinearSystem(Record):
+    __slots__ = ("alphabet", "dimension", "modes")
 
-    def __post_init__(self):
-        self.alphabet = tuple(self.alphabet)
-        n = operator.index(self.dimension)
+    def __init__(self, alphabet, dimension, modes):
+        self.alphabet = tuple(alphabet)
+        n = operator.index(dimension)
         if n < 1:
             raise ValueError("dimension must be positive")
         self.dimension = n
-        if set(self.modes) != set(self.alphabet):
+        if set(modes) != set(self.alphabet):
             raise ValueError("modes must provide exactly one matrix per symbol")
         fixed = {}
-        for sym, m in self.modes.items():
+        for sym, m in modes.items():
             m = np.asarray(m, dtype=float)
             if m.shape != (n, n):
                 raise ValueError(
@@ -110,21 +107,20 @@ def _json_matrix(rows, what):
     return rows
 
 
-@dataclass(eq=False)
-class QuadraticCertificate:
-    graph: object
-    P: dict
-    rho: float
-    margin: float = None
+class QuadraticCertificate(Record):
+    __slots__ = ("graph", "P", "rho", "margin")
 
-    def __post_init__(self):
-        if not math.isfinite(self.rho) or self.rho <= 0:
+    def __init__(self, graph, P, rho, margin=None):
+        if not math.isfinite(rho) or rho <= 0:
             raise ValueError("rho must be positive and finite")
-        if set(self.P) != set(self.graph.nodes):
+        if set(P) != set(graph.nodes):
             raise ValueError("P map must cover exactly the graph nodes")
+        self.graph = graph
+        self.rho = rho
+        self.margin = margin
         fixed = {}
         shape = None
-        for node, m in self.P.items():
+        for node, m in P.items():
             m = _symmetrize(m, f"P[{node}]")
             if shape is None:
                 shape = m.shape
@@ -241,8 +237,7 @@ def product_growth(sys, max_len):
 # LMI assembly
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class LmiProblem:
+class LmiProblem(Record, frozen=True):
     """Margin program for certifying rate `rho` along a graph.
 
     One n x n matrix P_s per node, its trace pinned to n.  Blocks, each
@@ -250,11 +245,10 @@ class LmiProblem:
     rho^2 P_r - A_h^T P_q A_h for every edge (r, q, h).
     """
 
-    nodes: tuple
-    edges: tuple
-    modes: dict
-    rho: float
-    dimension: int
+    __slots__ = ("nodes", "edges", "modes", "rho", "dimension")
+
+    def __init__(self, nodes, edges, modes, rho, dimension):
+        self._freeze(nodes, edges, modes, rho, dimension)
 
     def blocks(self, P):
         """The (K, n, n) stack of blocks at P (node -> matrix): node blocks
@@ -283,13 +277,16 @@ def assemble_lmi(g, sys, rho):
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VerificationReport:
-    ok: bool
-    margin: float
-    node_minima: dict
-    edge_minima: dict
-    implied_gamma: float = None
+class VerificationReport(Record, value=True):
+    __slots__ = ("ok", "margin", "node_minima", "edge_minima", "implied_gamma")
+
+    def __init__(self, ok, margin, node_minima, edge_minima,
+                 implied_gamma=None):
+        self.ok = ok
+        self.margin = margin
+        self.node_minima = node_minima
+        self.edge_minima = edge_minima
+        self.implied_gamma = implied_gamma
 
     def to_json(self):
         return {
@@ -363,13 +360,15 @@ def verify_certificate(cert, sys, rho_prime=None):
 # max lift onto observer nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class MaxQuadraticFunction:
+class MaxQuadraticFunction(Record):
     """Pointwise max of quadratics, one set per member name."""
 
-    members: dict
-    rho: float
-    dimension: int
+    __slots__ = ("members", "rho", "dimension")
+
+    def __init__(self, members, rho, dimension):
+        self.members = members
+        self.rho = rho
+        self.dimension = dimension
 
 
 def lift_certificate(cert, obs):

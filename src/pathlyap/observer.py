@@ -11,12 +11,12 @@ An observer node is its frozenset of base nodes: `ObserverGraph.subset_map`
 maps each node name to that frozenset.
 """
 
-from dataclasses import dataclass, field
 from operator import methodcaller, not_
 
 from .errors import (
     InvariantViolation,
     NotPathCompleteError,
+    Record,
     json_object,
     json_reader,
     json_string,
@@ -45,11 +45,13 @@ def _subset_name(subset):
     return "{" + ",".join(map(_escaped, sorted(subset))) + "}"
 
 
-@dataclass
-class ObserverGraph:
-    graph: LabeledGraph
-    root: str
-    subset_map: dict = field(default_factory=dict)
+class ObserverGraph(Record, value=True):
+    __slots__ = ("graph", "root", "subset_map")
+
+    def __init__(self, graph, root, subset_map=None):
+        self.graph = graph
+        self.root = root
+        self.subset_map = {} if subset_map is None else subset_map
 
     def to_json(self):
         d = self.graph.to_json()

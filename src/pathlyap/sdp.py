@@ -43,7 +43,6 @@ within the central-path gap K n MU_MIN of the optimum
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +51,7 @@ from .errors import (
     DEFAULT_UNKNOWN_CAP,
     NotPathCompleteError,
     NumericalError,
+    Record,
     ResourceLimitError,
     positive_cap,
 )
@@ -71,8 +71,7 @@ _BISECT_LIMIT = 200
 _ANCHOR_WORDS = 1000
 
 
-@dataclass(eq=False)
-class MarginSolution:
+class MarginSolution(Record):
     """Result of one margin solve.
 
     margin is the smallest eigenvalue over all blocks at the
@@ -85,13 +84,18 @@ class MarginSolution:
     they resume the barrier path there.
     """
 
-    margin: float
-    assignment: dict
-    iterations: int
-    status: str
-    point: np.ndarray = None
-    weight: float = None
-    rho: float = None
+    __slots__ = ("margin", "assignment", "iterations", "status", "point",
+                 "weight", "rho")
+
+    def __init__(self, margin, assignment, iterations, status, point=None,
+                 weight=None, rho=None):
+        self.margin = margin
+        self.assignment = assignment
+        self.iterations = iterations
+        self.status = status
+        self.point = point
+        self.weight = weight
+        self.rho = rho
 
 
 def _trace_zero_basis(n):
@@ -254,8 +258,7 @@ def _log_midpoint(lo, hi, anchor, tol):
     return mid if lo < mid < hi else 0.5 * (lo + hi)
 
 
-@dataclass(eq=False)
-class JsrBoundResult:
+class JsrBoundResult(Record):
     """Certified growth-rate upper bound with its bisection history.
 
     trace lists every probed (rho, margin) pair in probe order; the bound
@@ -272,10 +275,13 @@ class JsrBoundResult:
     :data:`pathlyap._kernels.MU_MIN`) of the optimum.
     """
 
-    rho_upper: float
-    certificate: QuadraticCertificate
-    trace: tuple
-    tolerance: float
+    __slots__ = ("rho_upper", "certificate", "trace", "tolerance")
+
+    def __init__(self, rho_upper, certificate, trace, tolerance):
+        self.rho_upper = rho_upper
+        self.certificate = certificate
+        self.trace = trace
+        self.tolerance = tolerance
 
     def to_json(self):
         return {

@@ -7,7 +7,6 @@ two by walking member structures forward in time.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +15,7 @@ from .covering import CoveringFamily, covering_to_graph
 from .errors import (
     DEFAULT_WORD_CAP,
     InvariantViolation,
+    Record,
     ResourceLimitError,
     state_cap,
 )
@@ -25,12 +25,14 @@ from .observer import ObserverGraph
 DEFAULT_SEED = 1729
 
 
-@dataclass(eq=False)
-class Trajectory:
+class Trajectory(Record):
     """States x(0..K) under word: states[k+1] = A_{word[k]} @ states[k]."""
 
-    states: list
-    word: tuple
+    __slots__ = ("states", "word")
+
+    def __init__(self, states, word):
+        self.states = states
+        self.word = word
 
     def to_json(self):
         return {
@@ -84,19 +86,23 @@ def jsr_lower_bound(sys, max_len, cap=None):
     return product_growth(sys, max_len)
 
 
-@dataclass(eq=False)
-class DecreaseReport:
+class DecreaseReport(Record):
     """Outcome of sampled decrease checks along member chains."""
 
-    trials: int
-    passes: int
-    failures: int
-    worst_slack: float
-    seed: int
-    gamma: float
-    envelope_ratio: float
-    tolerance: float
-    violations: tuple
+    __slots__ = ("trials", "passes", "failures", "worst_slack", "seed",
+                 "gamma", "envelope_ratio", "tolerance", "violations")
+
+    def __init__(self, trials, passes, failures, worst_slack, seed, gamma,
+                 envelope_ratio, tolerance, violations):
+        self.trials = trials
+        self.passes = passes
+        self.failures = failures
+        self.worst_slack = worst_slack
+        self.seed = seed
+        self.gamma = gamma
+        self.envelope_ratio = envelope_ratio
+        self.tolerance = tolerance
+        self.violations = violations
 
     def to_json(self):
         return {

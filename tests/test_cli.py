@@ -72,6 +72,57 @@ def test_usage_errors_exit_two(demo_files, capsys):
     assert run(["no-such-command"]) == 2
 
 
+# every command with the options its help lists, besides --format and
+# --output, which every command takes
+LEAF_OPTIONS = {
+    ("graph", "check"): ("graph", "--path-complete", "--complete",
+                         "--deterministic", "--cap"),
+    ("graph", "debruijn"): ("--alphabet", "--order"),
+    ("graph", "dual"): ("graph",),
+    ("observer", "build"): ("graph", "--cap"),
+    ("observer", "core"): ("observer",),
+    ("covering", "validate"): ("covering",),
+    ("covering", "to-graph"): ("covering",),
+    ("covering", "from-graph"): ("observer",),
+    ("jsr", "upper"): ("--graph", "--system", "--tol", "--cap",
+                       "--allow-incomplete"),
+    ("jsr", "lower"): ("--system", "--max-len", "--cap"),
+    ("certificate", "verify"): ("--certificate", "--system", "--rho-prime"),
+    ("certificate", "lift"): ("--certificate", "--observer"),
+    ("simulate",): ("--system", "--word", "--x0"),
+    ("decrease-check",): ("--certificate", "--observer", "--system",
+                          "--rho-prime", "--trials", "--horizon", "--seed",
+                          "--tolerance"),
+}
+
+
+def test_every_help_lists_its_commands_or_options(capsys):
+    """Each process builds only its own command's arguments: the root,
+    group and leaf helps still list everything below them."""
+    groups = {}
+    for command in LEAF_OPTIONS:
+        groups.setdefault(command[0], []).append(command[1:])
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(group in out for group in groups)
+    for group, leaves in groups.items():
+        if leaves != [()]:
+            assert run([group, "--help"]) == 0
+            out = capsys.readouterr().out
+            assert all(leaf in out for (leaf,) in leaves), group
+    for command, options in LEAF_OPTIONS.items():
+        assert run([*command, "--help"]) == 0
+        out = capsys.readouterr().out
+        for option in ("--format", "--output") + options:
+            assert option in out, (command, option)
+
+
+def test_missing_required_option_exits_two(capsys):
+    assert run(["jsr", "upper", "--graph", "g.json"]) == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --system" in err
+
+
 ONE_LOOP = {"alphabet": ["a"], "nodes": ["q"], "edges": [["q", "q", "a"]]}
 # two looped nodes named "q" and "0": a string "q0" read as an array would
 # name both

@@ -109,6 +109,14 @@ def test_json_rejects_unknown_keys():
         graph_from_json(d)
 
 
+def test_json_names_a_non_string_edge_entry():
+    d = mixed_horizon().to_json()
+    d["edges"][1][2] = 0
+    with pytest.raises(ValueError) as raised:
+        graph_from_json(d)
+    assert str(raised.value) == "each entry of graph edge must be a JSON string"
+
+
 # ---------------------------------------------------------------------------
 # structural predicates, frozen examples
 # ---------------------------------------------------------------------------

@@ -251,7 +251,10 @@ def test_covering_to_graph_process_never_imports_numpy(tmp_path):
                 for line in out.stderr.splitlines()
                 if line.startswith("import time:")]
     assert "pathlyap.covering" in imported
-    assert not [m for m in imported if m.split(".")[0] == "numpy"]
+    # records are plain classes: dataclasses, and the inspect module it
+    # loads, stay out of the process
+    assert not [m for m in imported
+                if m.split(".")[0] in ("numpy", "dataclasses", "inspect")]
 
 
 def test_jsr_upper_loads_no_covering_layer():
@@ -265,10 +268,13 @@ def test_jsr_upper_loads_no_covering_layer():
         "            '--system', str(data / 'demo_system.json'),\n"
         "            '--tol', '1e-3'])\n"
         "assert code == 0, code\n"
+        "print('dataclasses' in sys.modules)\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m.startswith('pathlyap'))))\n",
     ))
-    assert set(json.loads(out.splitlines()[-1])) == {
+    *_, dataclasses_loaded, modules = out.splitlines()
+    assert dataclasses_loaded == "False"
+    assert set(json.loads(modules)) == {
         "pathlyap", "pathlyap.cli", "pathlyap.errors", "pathlyap.graphs",
         "pathlyap.lyapunov", "pathlyap._kernels", "pathlyap.sdp",
     }

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -168,7 +167,9 @@ def test_start_without_a_rate_is_refused():
     problem = assemble_lmi(de_bruijn(("a", "b"), 2), demo_system(), 3.92)
     probe = solve_margin(problem, sign_only=True)
     with pytest.raises(ValueError, match="not a solution of this problem"):
-        solve_margin(problem, start=dataclasses.replace(probe, rho=None))
+        solve_margin(problem, start=MarginSolution(
+            probe.margin, probe.assignment, probe.iterations, probe.status,
+            probe.point, probe.weight, rho=None))
 
 
 def record_kernel_calls(monkeypatch):
@@ -465,7 +466,9 @@ def test_refused_start_falls_back_to_the_cold_start(monkeypatch):
         point = start.point.copy()
         point[-1] += 1e3
         sol = solve(problem, unknown_cap=unknown_cap, sign_only=sign_only,
-                    start=dataclasses.replace(start, point=point))
+                    start=MarginSolution(
+                        start.margin, start.assignment, start.iterations,
+                        start.status, point, start.weight, start.rho))
         refused.append((sol.status, sol.iterations))
         return sol
 

@@ -83,11 +83,16 @@ def thin_graph():
 
 def mixed_family():
     """Four observer members on one shared dual graph, three more loaded
-    back from JSON (equal graphs, distinct objects), and three prefix
-    classes, each on its own chain graph."""
+    back from JSON, and three prefix classes, each on its own chain graph.
+    The JSON reader gives its members one graph among themselves, a graph
+    equal to the observer members' graph but a distinct object."""
     shared = observer_to_covering(observer_graph(pc_graph()))
     loaded = covering_from_json(json.loads(json.dumps(shared.to_json())))
     stems = prefix_covering([("a", "a"), ("a", "b"), ("b",)], AB)
+    graph = shared.members[0].automaton.graph
+    json_graph = loaded.members[0].automaton.graph
+    assert json_graph == graph and json_graph is not graph
+    assert all(m.automaton.graph is json_graph for m in loaded.members)
     members = shared.members[:4] + tuple(
         CoveringMember("json" + m.name, m.automaton) for m in loaded.members[:3]
     ) + stems.members
@@ -298,13 +303,14 @@ def test_validation_coverage_matches_universality_witness():
     assert stopped > 100
 
 
-@pytest.mark.parametrize("fam", [
-    observer_to_covering(observer_graph(de_bruijn(("a", "b", "c"), 2))),
-    CoveringFamily(AB, mixed_family().members[:-1]),
+@pytest.mark.parametrize("make", [
+    lambda: observer_to_covering(observer_graph(de_bruijn(("a", "b", "c"), 2))),
+    lambda: CoveringFamily(AB, mixed_family().members[:-1]),
 ], ids=["covering", "not-covering"])
-def test_validation_explores_once_per_symbol(monkeypatch, fam):
+def test_validation_explores_once_per_symbol(monkeypatch, make):
     """A validation builds the members' successor steps once and runs one
     subset exploration per symbol, whether or not the family covers."""
+    fam = make()
     calls = {"_explore_subsets": 0, "_successor_steps": 0}
 
     def counted(name, original):
