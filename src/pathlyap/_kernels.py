@@ -21,6 +21,19 @@ through ``index``.  That is K w products for E and K Gram blocks of size
 w x w, in place of one dense product over every unknown of every block;
 only the final m1 x m1 solve is dense.
 
+The line search backtracks from the full Newton step, halving alpha until
+``S + alpha dS`` factors and the Armijo condition holds.  Every block of
+``S + alpha dS`` is ``L_k (I + alpha W_k) L_k^T`` with
+``W_k = L_k^-1 dS_k L_k^-T``, and no eigenvalue of W_k exceeds its
+smallest diagonal entry, ``sum_j step[index[k, j]] diag(E[k, j])``, which
+the trace above already slices out of E.  With ``worst`` the smallest
+such entry over all blocks, any alpha with ``1 + alpha worst < 0`` leaves
+some block indefinite, so a trial past ``1 + alpha worst < -SKIP_SLACK``
+is halved without a factorization.  The slack lies far above the rounding
+of ``worst``, so no skipped trial is one that Cholesky would accept, and
+the first trial that is factorized is the one the plain search would
+have reached: the iterates are the same to the last bit.
+
 A caller that needs only the sign of the optimum against a level passes
 it as ``decide``, and the solve stops once that sign is certified.  The
 feasible exit comes after any accepted Newton step with ``z[-1] > decide``:
@@ -55,6 +68,9 @@ MAX_NEWTON = 80
 ARMIJO = 0.25
 BACKTRACK = 0.5
 MIN_STEP = 1e-14
+# how far past the diagonal bound a line-search step must lie to be skipped
+# without a factorization, far above the bound's rounding error
+SKIP_SLACK = 1e-3
 
 
 def _factor(s):
@@ -128,7 +144,8 @@ def barrier_solve(c0, local, index, z0, mu0, mu_shrink, decide=None):
             e = (inv @ wide).reshape(count, n, width, n).transpose(0, 2, 1, 3)
             e = e.reshape(count, width * n, n) @ inv.transpose(0, 2, 1)
             e = e.reshape(count, width, n * n)
-            traces = e[:, :, ::n + 1].sum(axis=2)
+            diagonals = e[:, :, ::n + 1]
+            traces = diagonals.sum(axis=2)
             grad = -mu * np.bincount(slots, traces.reshape(-1), m1)
             grad[-1] -= 1.0
             gram = e @ e.transpose(0, 2, 1)
@@ -144,7 +161,13 @@ def barrier_solve(c0, local, index, z0, mu0, mu_shrink, decide=None):
                 converged = centred = True
                 break
             ds = along(step)
+            # no eigenvalue of W_k = L_k^-1 dS_k L_k^-T exceeds its smallest
+            # diagonal entry, so no step alpha with 1 + alpha worst < 0
+            # keeps every block positive definite: halve past those
+            worst = (step[index][:, None, :] @ diagonals).min()
             alpha = 1.0
+            while alpha * worst < -1.0 - SKIP_SLACK and alpha >= MIN_STEP:
+                alpha *= BACKTRACK
             moved = False
             while alpha >= MIN_STEP:
                 zt = z + alpha * step

@@ -22,7 +22,6 @@ variable, must be positive integers; any other value exits 2.
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .errors import (
     InvariantViolation,
@@ -44,7 +43,8 @@ def _load(path):
 def _emit(args, result, lines):
     payload = json.dumps(result, indent=2) + "\n"
     if getattr(args, "output", None):
-        Path(args.output).write_text(payload)
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(payload)
     if args.format == "json":
         sys.stdout.write(payload)
     else:

@@ -9,13 +9,17 @@ the trace equalities into plain eliminations.  The directions of the
 resulting max-eigenvalue program are written down in closed form from
 that basis (``B_j`` on a node block, ``rho^2 B_j`` and ``-A^T B_j A`` on an
 edge block), each block holding only the directions of its own nodes, and
-go to the log-det barrier kernel in :mod:`pathlyap._kernels`.  The
-reported margin is always recomputed from the returned matrices with an
-eigenvalue solve, never trusted from the optimizer state.
+go to the log-det barrier kernel in :mod:`pathlyap._kernels`.  All of
+that but the edge blocks' rho^2 terms is independent of the rate, so it is
+built once per graph and system (:class:`_MarginProgram`) and posed at each
+rate by writing those terms.  The reported margin is always recomputed
+from the returned matrices with an eigenvalue solve, never trusted from
+the optimizer state.
 
 ``jsr_upper_bound`` brackets the certifiable growth rate by bisection on
-rho, probing feasibility of the margin program, and returns the smallest
-feasible probe together with its independently re-verified certificate.
+rho, probing feasibility of the margin program, built once per call, and
+returns the smallest feasible probe together with its independently
+re-verified certificate.
 Both ends of the bracket hold by construction.  The upper end starts where
 the identity assignment (the cold start) has a margin of at least twice
 :data:`FEASIBILITY_THRESHOLD`, so its probe is feasible, and it only moves
@@ -119,6 +123,67 @@ def _trace_zero_basis(n):
 _STATUS_NAMES = {0: "optimal", 1: "max-iterations", 2: "numerical-failure"}
 
 
+class _MarginProgram:
+    """The margin program of one graph and system, posed at one rate at a
+    time.
+
+    Block k is c0[k] plus z[index[k, j]] times local[k, j]: slots 0..p-1
+    for one node's columns, p..2p-1 for another's (zero on node blocks),
+    2p for t.  Everything but the edge blocks' rho^2 terms is built once:
+    the trace-zero basis, the pulled modes -A^T B A, the node blocks, the
+    index arrays, the -I slot of t and each mode's A^T A.  :meth:`pose`
+    then writes a problem's rate into the rho^2 B slots and into the
+    constant edge blocks rho^2 I - A^T A, so a bisection builds its program
+    once and reposes it per probe.  Posing overwrites the arrays, so a
+    program serves one solve at a time.
+    """
+
+    def __init__(self, problem, cap):
+        n = problem.dimension
+        basis = _trace_zero_basis(n)
+        p = len(basis)
+        nodes = len(problem.nodes)
+        m1 = nodes * p + 1
+        if m1 > cap:
+            raise ResourceLimitError(
+                f"margin program has {m1} unknowns, above the cap of {cap}"
+            )
+        count = nodes + len(problem.edges)
+        self.basis, self.nodes, self.unknowns = basis, nodes, m1
+        self.c0 = np.empty((count, n, n))
+        self.c0[:nodes] = np.eye(n)
+        self.local = np.zeros((count, 2 * p + 1, n, n))
+        self.index = np.full((count, 2 * p + 1), m1 - 1)
+        columns = p * np.arange(nodes)[:, None] + np.arange(p)
+        self.local[:nodes, :p] = basis
+        self.index[:nodes, :p] = self.index[:nodes, p:2 * p] = columns
+        position = {s: i for i, s in enumerate(problem.nodes)}
+        symbol = {h: i for i, h in enumerate(problem.modes)}
+        ends = np.array([(position[r], position[q], symbol[h])
+                         for r, q, h in problem.edges], dtype=np.intp)
+        ends = ends.reshape(-1, 3)
+        pulled = np.array([-(a.T @ basis @ a) for a in problem.modes.values()])
+        self.local[nodes:, p:2 * p] = pulled[ends[:, 2]]
+        self.index[nodes:, :p] = columns[ends[:, 0]]
+        self.index[nodes:, p:2 * p] = columns[ends[:, 1]]
+        self.local[:, -1] = -np.eye(n)
+        # A^T I A, formed as LmiProblem.blocks forms it, so c0 keeps its bits
+        self.pulled_identity = np.array([
+            a.T @ np.eye(n) @ a for a in problem.modes.values()
+        ])[ends[:, 2]]
+        self.problem = None
+
+    def pose(self, problem):
+        """Write the rate of `problem`, an LmiProblem on this program's
+        graph and system, into the edge blocks; returns the program."""
+        rho_sq = float(problem.rho) ** 2
+        n, p = problem.dimension, len(self.basis)
+        self.c0[self.nodes:] = rho_sq * np.eye(n) - self.pulled_identity
+        self.local[self.nodes:, :p] = rho_sq * self.basis
+        self.problem = problem
+        return self
+
+
 def solve_margin(problem, unknown_cap=None, *, sign_only=False, start=None):
     """Maximize the common slack t of all blocks of `problem`.
 
@@ -130,7 +195,10 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False, start=None):
     dense solve in the m1 unknowns.  The solve refuses problems with more
     scalar unknowns than `unknown_cap` (default
     :data:`pathlyap.errors.DEFAULT_UNKNOWN_CAP`), which must be a positive
-    integer.
+    integer.  `problem` is an :class:`~pathlyap.lyapunov.LmiProblem`, whose
+    program the solve builds, or a program that :func:`jsr_upper_bound`
+    built once for all its probes and posed at the probe's rate; such a
+    program was held to the cap when it was built.
 
     With `sign_only`, the solve only decides whether the margin clears
     :data:`FEASIBILITY_THRESHOLD`: the barrier weight shrinks by 0.05 per
@@ -154,36 +222,11 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False, start=None):
     """
     cap = (DEFAULT_UNKNOWN_CAP if unknown_cap is None
            else positive_cap(unknown_cap, "unknown cap"))
-    n = problem.dimension
-    basis = _trace_zero_basis(n)
-    p = len(basis)
-    nodes = len(problem.nodes)
-    m1 = nodes * p + 1
-    if m1 > cap:
-        raise ResourceLimitError(
-            f"margin program has {m1} unknowns, above the cap of {cap}"
-        )
-
-    # block k is c0[k] plus z[index[k, j]] times local[k, j]: slots 0..p-1
-    # for one node's columns, p..2p-1 for another's (zero on node blocks),
-    # 2p for t
-    c0 = problem.blocks({s: np.eye(n) for s in problem.nodes})
-    local = np.zeros((len(c0), 2 * p + 1, n, n))
-    index = np.full((len(c0), 2 * p + 1), m1 - 1)
-    columns = p * np.arange(nodes)[:, None] + np.arange(p)
-    local[:nodes, :p] = basis
-    index[:nodes, :p] = index[:nodes, p:2 * p] = columns
-    position = {s: i for i, s in enumerate(problem.nodes)}
-    symbol = {h: i for i, h in enumerate(problem.modes)}
-    ends = np.array([(position[r], position[q], symbol[h])
-                     for r, q, h in problem.edges], dtype=np.intp)
-    ends = ends.reshape(-1, 3)
-    pulled = np.array([-(a.T @ basis @ a) for a in problem.modes.values()])
-    local[nodes:, :p] = float(problem.rho) ** 2 * basis
-    local[nodes:, p:2 * p] = pulled[ends[:, 2]]
-    index[nodes:, :p] = columns[ends[:, 0]]
-    index[nodes:, p:2 * p] = columns[ends[:, 1]]
-    local[:, -1] = -np.eye(n)
+    if isinstance(problem, _MarginProgram):
+        program, problem = problem, problem.problem
+    else:
+        program = _MarginProgram(problem, cap).pose(problem)
+    c0, m1 = program.c0, program.unknowns
 
     if start is None:
         worst = np.linalg.eigvalsh(c0)[:, 0].min()
@@ -203,12 +246,13 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False, start=None):
             z0[-1] -= change * np.abs(np.linalg.eigvalsh(held)).max()
 
     z, iterations, code, weight = barrier_solve(
-        c0, local, index, z0, mu0, 0.05 if sign_only else 0.2,
+        c0, program.local, program.index, z0, mu0, 0.05 if sign_only else 0.2,
         decide=FEASIBILITY_THRESHOLD if sign_only else None,
     )
 
-    z_nodes = z[:-1].reshape(nodes, p)
-    stack = np.eye(n) + np.tensordot(z_nodes, basis, axes=1)
+    basis = program.basis
+    z_nodes = z[:-1].reshape(program.nodes, len(basis))
+    stack = np.eye(problem.dimension) + np.tensordot(z_nodes, basis, axes=1)
     assignment = dict(zip(problem.nodes, stack))
     status = _STATUS_NAMES[int(code)]
     margin = (
@@ -313,7 +357,10 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
     nearest in rate (`start=` of :func:`solve_margin`), or from the cold
     start if the kernel refuses that shifted point, which only rounding can
     cause.  The bound's probe is then solved in full, resumed from where it
-    stopped, for the certificate.
+    stopped, for the certificate.  Every solve of the call runs on one
+    margin program, built at the first probe and posed at each probe's
+    rate; each probe still assembles its own LmiProblem, which checks the
+    rate.
 
     `unknown_cap` is checked first, and must be a positive integer.  Raises
     NotPathCompleteError on graphs with unreadable words unless
@@ -340,23 +387,24 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
     solutions = []
 
     def solved(problem, start, sign_only=False):
-        sol = solve_margin(problem, unknown_cap=cap, sign_only=sign_only,
-                           start=start)
+        # every solve poses the one program at its problem's rate
+        sol = solve_margin(program.pose(problem), unknown_cap=cap,
+                           sign_only=sign_only, start=start)
         if (start is not None and sol.status == "numerical-failure"
                 and sol.iterations == 0):
             # the kernel refused the shifted start, which only rounding can
             # cause: solve from the cold start instead
-            sol = solve_margin(problem, unknown_cap=cap, sign_only=sign_only)
+            sol = solve_margin(program, unknown_cap=cap, sign_only=sign_only)
         if sol.status == "numerical-failure":
             raise NumericalError(
                 f"margin solve broke down at rate {problem.rho}"
             )
         return sol
 
-    def probe(rho):
-        problem = assemble_lmi(graph, system, rho)
+    def probe(problem):
         # resume from the earlier probe nearest in rate
-        start = min(solutions, key=lambda s: abs(s.rho - rho), default=None)
+        start = min(solutions, key=lambda s: abs(s.rho - problem.rho),
+                    default=None)
         sol = solved(problem, start, sign_only=True)
         solutions.append(sol)
         return problem, sol
@@ -369,7 +417,10 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
                    math.hypot(norm, math.sqrt(2.0 * FEASIBILITY_THRESHOLD))))
     if not math.isfinite(hi * hi):
         raise NumericalError(f"rate {hi} squared overflows")
-    bound = probe(hi)
+    first = assemble_lmi(graph, system, hi)
+    # the rate-free parts of the program, built once for every probe
+    program = _MarginProgram(first, cap)
+    bound = probe(first)
     if not bound[1].margin > FEASIBILITY_THRESHOLD:
         raise NumericalError(
             f"margin solve at rate {hi} missed the identity certificate"
@@ -381,7 +432,7 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
         if steps > _BISECT_LIMIT:
             raise NumericalError("bisection failed to narrow the bracket")
         mid = _log_midpoint(lo, hi, anchor, tol)
-        candidate = probe(mid)
+        candidate = probe(assemble_lmi(graph, system, mid))
         if candidate[1].margin > FEASIBILITY_THRESHOLD:
             hi, bound = mid, candidate
         else:

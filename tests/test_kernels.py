@@ -327,3 +327,27 @@ def test_sign_only_verdict_matches_the_full_solve(name, scale):
     assert ((probe.margin > FEASIBILITY_THRESHOLD)
             == (full.margin > FEASIBILITY_THRESHOLD))
     assert probe.iterations <= full.iterations
+
+
+# ---------------------------------------------------------------------------
+# line search: a trial step that the diagonal bound proves leaves the cone
+# is skipped, not factorized
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["demo-db3", "wide-db2"])
+def test_line_search_rarely_factorizes_a_step_outside_the_cone(monkeypatch,
+                                                               name):
+    failed = []
+    factor = kernels._factor
+
+    def counting(s):
+        result = factor(s)
+        if result[0] is None:
+            failed.append(s)
+        return result
+
+    monkeypatch.setattr(kernels, "_factor", counting)
+    graph, system, rho = CASES[name]()
+    sol = solve_margin(assemble_lmi(graph, system, rho))
+    assert sol.iterations == REFERENCE[name][1]
+    assert len(failed) <= sol.iterations / 10

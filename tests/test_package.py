@@ -257,6 +257,27 @@ def test_covering_to_graph_process_never_imports_numpy(tmp_path):
                 if m.split(".")[0] in ("numpy", "dataclasses", "inspect")]
 
 
+def test_cli_output_file_loads_no_pathlib(tmp_path):
+    # -S keeps site hooks (which may load pathlib themselves) out of the
+    # process, so what it loads is what the package loads
+    target = tmp_path / "db2.json"
+    out = assert_ran(python(
+        "import sys\n"
+        "from pathlyap.cli import run\n"
+        "code = run(['graph', 'debruijn', '-a', 'a,b', '-k', '2',\n"
+        "            '-o', sys.argv[1]])\n"
+        "assert code == 0, code\n"
+        "print('pathlib' in sys.modules)\n",
+        str(target),
+        flags=("-S",),
+    ))
+    assert out.splitlines()[-1] == "False"
+    from pathlyap.graphs import de_bruijn
+
+    payload = json.dumps(de_bruijn(("a", "b"), 2).to_json(), indent=2)
+    assert target.read_bytes() == (payload + "\n").encode("ascii")
+
+
 def test_jsr_upper_loads_no_covering_layer():
     out = assert_ran(python(
         "import json, sys\n"

@@ -234,6 +234,76 @@ def test_start_at_another_rate_reaches_the_cold_optimum(monkeypatch, case,
 
 
 # ---------------------------------------------------------------------------
+# one margin program per bound: a program built once and posed at each rate
+# solves exactly what a fresh build at that rate solves
+# ---------------------------------------------------------------------------
+
+def self_loop_case():
+    # De Bruijn 1: the edge ([a], [a], a) is an r = q block, which holds
+    # both the rho^2 B slots and the -A^T B A slots of one node
+    return de_bruijn(("a", "b"), 1), demo_system(), 3.923
+
+
+def one_node_case():
+    graph = LabeledGraph(("a", "b"), ("n",), [("n", "n", "a"),
+                                              ("n", "n", "b")])
+    return graph, demo_system(), 3.981
+
+
+REUSE_CASES = {"self-loops": self_loop_case, "one-node": one_node_case,
+               "wide-db2": wide_db2}
+
+
+def assert_same_solution(got, want):
+    assert np.array_equal(got.point, want.point)
+    assert (got.margin, got.weight, got.iterations, got.status, got.rho) == (
+        want.margin, want.weight, want.iterations, want.status, want.rho)
+    assert list(got.assignment) == list(want.assignment)
+    for node, matrix in want.assignment.items():
+        assert np.array_equal(got.assignment[node], matrix)
+
+
+@pytest.mark.parametrize("case", sorted(REUSE_CASES))
+def test_one_program_solves_every_rate_like_a_fresh_build(case):
+    graph, system, rho = REUSE_CASES[case]()
+    program = sdp_module._MarginProgram(assemble_lmi(graph, system, rho),
+                                        DEFAULT_UNKNOWN_CAP)
+    fresh = reused = None
+    # down, up, and the same rate twice; each rate's sign-only solve
+    # resumes from the sign-only solve at the rate before
+    for scale in (1.0, 0.99, 1.01, 1.01):
+        problem = assemble_lmi(graph, system, scale * rho)
+        for sign_only in (False, True):
+            want = solve_margin(problem, sign_only=sign_only, start=fresh)
+            got = solve_margin(program.pose(problem), sign_only=sign_only,
+                               start=reused)
+            assert_same_solution(got, want)
+        fresh, reused = want, got
+
+
+def test_posed_program_refuses_a_solution_of_another_graph():
+    small = solve_margin(loop_problem(1.0, [0.5 * np.eye(2)]))
+    problem = assemble_lmi(de_bruijn(("a", "b"), 2), demo_system(), 3.92)
+    program = sdp_module._MarginProgram(problem, DEFAULT_UNKNOWN_CAP)
+    with pytest.raises(ValueError, match="not a solution of this problem"):
+        solve_margin(program.pose(problem), start=small)
+
+
+def test_bound_builds_its_program_once(monkeypatch):
+    built = []
+
+    class Counting(sdp_module._MarginProgram):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sdp_module, "_MarginProgram", Counting)
+    res = jsr_upper_bound(de_bruijn(("a", "b"), 2), demo_system())
+    assert len(res.trace) > 5
+    assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
 # bisection upper bounds
 # ---------------------------------------------------------------------------
 

@@ -271,6 +271,22 @@ def test_lower_bound_skips_powers_of_a_defective_mode():
     assert witness == ("a",)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the float eigensolve of a defective product overshoots the "
+           "joint spectral radius; ROADMAP item 6 (exactly certified lower "
+           "end) mends it")
+def test_lower_bound_never_exceeds_the_jsr_of_a_defective_word():
+    """Every product of {M, M^2} is a power of M, whose eigenvalue -1 has
+    a Jordan block of size two, so the joint spectral radius is exactly 1.
+    The Lyndon word aabb is not a power of one symbol, and the rate read
+    from the eigensolve of its product M^6 is about 1 + 1.3e-8."""
+    m = np.array([[1.0, -1.0, -1.0], [1.0, -1.0, 0.0], [-1.0, 0.0, -1.0]])
+    sys = SwitchedLinearSystem(("a", "b"), 3, {"a": m, "b": m @ m})
+    rho, _ = jsr_lower_bound(sys, 4)
+    assert rho <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # empirical decrease checks
 # ---------------------------------------------------------------------------
