@@ -57,7 +57,11 @@ class SwitchedLinearSystem(Record):
     __slots__ = ("alphabet", "dimension", "modes")
 
     def __init__(self, alphabet, dimension, modes):
-        self.alphabet = tuple(alphabet)
+        self.alphabet = alphabet = tuple(alphabet)
+        if not alphabet:
+            raise ValueError("alphabet must be nonempty")
+        if len(set(alphabet)) != len(alphabet) or any(not s for s in alphabet):
+            raise ValueError("alphabet symbols must be distinct and nonempty")
         n = operator.index(dimension)
         if n < 1:
             raise ValueError("dimension must be positive")
@@ -242,21 +246,28 @@ class LmiProblem(Record, frozen=True):
 
     One n x n matrix P_s per node, its trace pinned to n.  Blocks, each
     read as "... >= t*I": P_s for every node s, then
-    rho^2 P_r - A_h^T P_q A_h for every edge (r, q, h).
+    rho^2 P_r - A_h^T P_q A_h for every edge (r, q, h), whose row of the
+    (E, 3) array `ends` holds r and q as positions in `nodes`, h in `modes`.
     """
 
-    __slots__ = ("nodes", "edges", "modes", "rho", "dimension")
+    __slots__ = ("nodes", "edges", "modes", "rho", "dimension", "ends")
 
     def __init__(self, nodes, edges, modes, rho, dimension):
-        self._freeze(nodes, edges, modes, rho, dimension)
+        position = {s: i for i, s in enumerate(nodes)}
+        symbol = {h: i for i, h in enumerate(modes)}
+        ends = np.array([(position[r], position[q], symbol[h])
+                         for r, q, h in edges], dtype=np.intp)
+        self._freeze(nodes, edges, modes, rho, dimension, ends.reshape(-1, 3))
 
     def blocks(self, P):
         """The (K, n, n) stack of blocks at P (node -> matrix): node blocks
         first, then edge blocks, in graph order."""
-        rho_sq = float(self.rho) ** 2
-        edges = [rho_sq * P[r] - self.modes[h].T @ P[q] @ self.modes[h]
-                 for r, q, h in self.edges]
-        return np.array([P[s] for s in self.nodes] + edges)
+        stack = np.array([P[s] for s in self.nodes])
+        r, q, h = self.ends.T
+        a = np.array(list(self.modes.values()))[h]
+        edges = (float(self.rho) ** 2 * stack[r]
+                 - a.transpose(0, 2, 1) @ stack[q] @ a)
+        return np.concatenate((stack, edges))
 
 
 def assemble_lmi(g, sys, rho):

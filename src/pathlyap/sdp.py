@@ -10,11 +10,11 @@ resulting max-eigenvalue program are written down in closed form from
 that basis (``B_j`` on a node block, ``rho^2 B_j`` and ``-A^T B_j A`` on an
 edge block), each block holding only the directions of its own nodes, and
 go to the log-det barrier kernel in :mod:`pathlyap._kernels`.  All of
-that but the edge blocks' rho^2 terms is independent of the rate, so it is
-built once per graph and system (:class:`_MarginProgram`) and posed at each
-rate by writing those terms.  The reported margin is always recomputed
-from the returned matrices with an eigenvalue solve, never trusted from
-the optimizer state.
+that but the rho^2 terms is built once per graph and system
+(:class:`_MarginProgram`); each rate's constant blocks come from
+``LmiProblem.blocks``, the one place that forms a block.  The reported
+margin is always recomputed from the returned matrices with an
+eigenvalue solve, never trusted from the optimizer state.
 
 ``jsr_upper_bound`` brackets the certifiable growth rate by bisection on
 rho, probing feasibility of the margin program, built once per call, and
@@ -129,11 +129,11 @@ class _MarginProgram:
 
     Block k is c0[k] plus z[index[k, j]] times local[k, j]: slots 0..p-1
     for one node's columns, p..2p-1 for another's (zero on node blocks),
-    2p for t.  Everything but the edge blocks' rho^2 terms is built once:
-    the trace-zero basis, the pulled modes -A^T B A, the node blocks, the
-    index arrays, the -I slot of t and each mode's A^T A.  :meth:`pose`
-    then writes a problem's rate into the rho^2 B slots and into the
-    constant edge blocks rho^2 I - A^T A, so a bisection builds its program
+    2p for t.  All directions but the rho^2 B slots are built once: the
+    trace-zero basis, the pulled modes -A^T B A, the -I slot of t and the
+    index arrays, read from the problem's `ends`.  :meth:`pose` then takes
+    c0 from the problem, its blocks at z = 0 (every P_s = I), and writes
+    the rate into the rho^2 B slots, so a bisection builds its program
     once and reposes it per probe.  Posing overwrites the arrays, so a
     program serves one solve at a time.
     """
@@ -150,36 +150,26 @@ class _MarginProgram:
             )
         count = nodes + len(problem.edges)
         self.basis, self.nodes, self.unknowns = basis, nodes, m1
-        self.c0 = np.empty((count, n, n))
-        self.c0[:nodes] = np.eye(n)
         self.local = np.zeros((count, 2 * p + 1, n, n))
         self.index = np.full((count, 2 * p + 1), m1 - 1)
         columns = p * np.arange(nodes)[:, None] + np.arange(p)
         self.local[:nodes, :p] = basis
         self.index[:nodes, :p] = self.index[:nodes, p:2 * p] = columns
-        position = {s: i for i, s in enumerate(problem.nodes)}
-        symbol = {h: i for i, h in enumerate(problem.modes)}
-        ends = np.array([(position[r], position[q], symbol[h])
-                         for r, q, h in problem.edges], dtype=np.intp)
-        ends = ends.reshape(-1, 3)
+        r, q, h = problem.ends.T
         pulled = np.array([-(a.T @ basis @ a) for a in problem.modes.values()])
-        self.local[nodes:, p:2 * p] = pulled[ends[:, 2]]
-        self.index[nodes:, :p] = columns[ends[:, 0]]
-        self.index[nodes:, p:2 * p] = columns[ends[:, 1]]
+        self.local[nodes:, p:2 * p] = pulled[h]
+        self.index[nodes:, :p] = columns[r]
+        self.index[nodes:, p:2 * p] = columns[q]
         self.local[:, -1] = -np.eye(n)
-        # A^T I A, formed as LmiProblem.blocks forms it, so c0 keeps its bits
-        self.pulled_identity = np.array([
-            a.T @ np.eye(n) @ a for a in problem.modes.values()
-        ])[ends[:, 2]]
-        self.problem = None
+        self.c0 = self.problem = None
 
     def pose(self, problem):
-        """Write the rate of `problem`, an LmiProblem on this program's
-        graph and system, into the edge blocks; returns the program."""
-        rho_sq = float(problem.rho) ** 2
-        n, p = problem.dimension, len(self.basis)
-        self.c0[self.nodes:] = rho_sq * np.eye(n) - self.pulled_identity
-        self.local[self.nodes:, :p] = rho_sq * self.basis
+        """Pose `problem`, an LmiProblem on this program's graph and
+        system, at its rate; returns the program."""
+        identity = np.eye(problem.dimension)
+        self.c0 = problem.blocks(dict.fromkeys(problem.nodes, identity))
+        self.local[self.nodes:, :len(self.basis)] = (
+            float(problem.rho) ** 2 * self.basis)
         self.problem = problem
         return self
 

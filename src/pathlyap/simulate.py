@@ -7,6 +7,7 @@ two by walking member structures forward in time.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -23,6 +24,14 @@ from .lyapunov import evaluate_mblf, product_growth
 from .observer import ObserverGraph
 
 DEFAULT_SEED = 1729
+
+
+def _count(value, name):
+    """`value` as an int; 2.7 or "3" is a ValueError, not truncated or read."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class Trajectory(Record):
@@ -72,7 +81,7 @@ def jsr_lower_bound(sys, max_len, cap=None):
     maximum, reported in time order.  Raises ResourceLimitError when the
     count of every word up to max_len would exceed the cap.
     """
-    max_len = int(max_len)
+    max_len = _count(max_len, "max_len")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     limit = state_cap(cap, DEFAULT_WORD_CAP)
@@ -105,17 +114,8 @@ class DecreaseReport(Record):
         self.violations = violations
 
     def to_json(self):
-        return {
-            "trials": self.trials,
-            "passes": self.passes,
-            "failures": self.failures,
-            "worst_slack": self.worst_slack,
-            "seed": self.seed,
-            "gamma": self.gamma,
-            "envelope_ratio": self.envelope_ratio,
-            "tolerance": self.tolerance,
-            "violations": [dict(v) for v in self.violations],
-        }
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        return dict(fields, violations=[dict(v) for v in self.violations])
 
 
 def _structure_walk(structure):
@@ -157,6 +157,7 @@ def trajectory_decrease_check(w_fn, structure, sys, rho_prime, trials=100,
         raise ValueError("rho_prime must exceed the certified rate")
     if not 0 <= tolerance < math.inf:
         raise ValueError("tolerance must be non-negative and finite")
+    trials, horizon = _count(trials, "trials"), _count(horizon, "horizon")
     for name, value in (("trials", trials), ("horizon", horizon)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative")
@@ -174,14 +175,11 @@ def trajectory_decrease_check(w_fn, structure, sys, rho_prime, trials=100,
     start = starts[0]
 
     gamma = (float(w_fn.rho) / float(rho_prime)) ** 2
-    lower = []
-    upper = []
-    for name in graph.nodes:
-        quads = w_fn.members[name]
-        lower.append(max(float(np.linalg.eigvalsh(p)[0]) for p in quads))
-        upper.append(max(float(np.linalg.eigvalsh(p)[-1]) for p in quads))
-    a1 = min(lower)
-    ratio = (max(upper) / a1) if a1 > 0 else None
+    spectra = [[np.linalg.eigvalsh(p) for p in w_fn.members[name]]
+               for name in graph.nodes]
+    a1 = min(max(float(e[0]) for e in member) for member in spectra)
+    top = max(float(e[-1]) for member in spectra for e in member)
+    ratio = (top / a1) if a1 > 0 else None
 
     used_seed = DEFAULT_SEED if seed is None else int(seed)
     rng = np.random.default_rng(used_seed)
@@ -190,11 +188,11 @@ def trajectory_decrease_check(w_fn, structure, sys, rho_prime, trials=100,
     violations = []
     worst = math.inf
     failures = 0
-    for trial in range(int(trials)):
+    for trial in range(trials):
         x0 = rng.standard_normal(sys.dimension)
         word = tuple(
             alphabet[i]
-            for i in rng.integers(0, len(alphabet), size=int(horizon))
+            for i in rng.integers(0, len(alphabet), size=horizon)
         )
         states = simulate(sys, word, x0).states
         w0 = evaluate_mblf(w_fn, start, x0)
@@ -244,7 +242,7 @@ def trajectory_decrease_check(w_fn, structure, sys, rho_prime, trials=100,
     if worst is math.inf:
         worst = 0.0
     return DecreaseReport(
-        trials=int(trials), passes=int(trials) - failures, failures=failures,
+        trials=trials, passes=trials - failures, failures=failures,
         worst_slack=float(worst), seed=used_seed, gamma=gamma,
         envelope_ratio=ratio, tolerance=float(tolerance),
         violations=tuple(violations),

@@ -218,6 +218,21 @@ def entries_as(convert, matrices):
      {"alphabet": [1, 2], "nodes": ["q"], "edges": [["q", "q", 1]]}),
     (["observer", "build", "{bad}"],
      {"alphabet": ["a"], "nodes": [1], "edges": [[1, 1, "a"]]}),
+    # alphabets a system refuses: empty, a repeated symbol, an empty symbol
+    (["jsr", "upper", "--graph", "{db1}", "--system", "{bad}"],
+     {"alphabet": [], "dimension": 2, "modes": {}}),
+    (["jsr", "lower", "--system", "{bad}", "--max-len", "2"],
+     {"alphabet": [], "dimension": 2, "modes": {}}),
+    (["jsr", "upper", "--graph", "{db1}", "--system", "{bad}"],
+     {"alphabet": ["a", "a"], "dimension": 1, "modes": {"a": [[1]]}}),
+    (["jsr", "lower", "--system", "{bad}", "--max-len", "2"],
+     {"alphabet": ["a", "a"], "dimension": 1, "modes": {"a": [[1]]}}),
+    (["jsr", "upper", "--graph", "{db1}", "--system", "{bad}"],
+     {"alphabet": ["a", ""], "dimension": 1,
+      "modes": {"a": [[1]], "": [[1]]}}),
+    (["jsr", "lower", "--system", "{bad}", "--max-len", "2"],
+     {"alphabet": ["a", ""], "dimension": 1,
+      "modes": {"a": [[1]], "": [[1]]}}),
 ], ids=["covering-validate", "covering-to-graph", "covering-from-graph",
         "jsr-upper-system", "jsr-lower-system", "observer-core",
         "certificate-verify", "covering-member", "covering-alphabet",
@@ -232,7 +247,10 @@ def entries_as(convert, matrices):
         "system-mode-booleans", "certificate-rho-string",
         "certificate-rho-boolean", "certificate-p-strings",
         "certificate-margin-string", "graph-integer-symbols",
-        "observer-integer-symbols", "observer-integer-nodes"])
+        "observer-integer-symbols", "observer-integer-nodes",
+        "jsr-upper-empty-alphabet", "jsr-lower-empty-alphabet",
+        "jsr-upper-repeated-symbol", "jsr-lower-repeated-symbol",
+        "jsr-upper-empty-symbol", "jsr-lower-empty-symbol"])
 def test_json_of_the_wrong_shape_exits_two(demo_files, tmp_path, capsys,
                                            argv, content):
     files = dict(demo_files, bad=write_json(tmp_path, "bad.json", content))

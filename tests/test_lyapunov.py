@@ -15,6 +15,7 @@ from pathlyap.lyapunov import (
 )
 from pathlyap.observer import observer_graph
 from test_graphs import mixed_horizon
+from test_kernels import wide_db2
 
 AB = ("a", "b")
 
@@ -59,6 +60,11 @@ def test_system_rejects_bad_shapes():
         SwitchedLinearSystem(AB, 2, {"a": np.ones((2, 3)), "b": B_MODE})
     with pytest.raises(ValueError):
         SwitchedLinearSystem(AB, 3, {"a": A_MODE, "b": B_MODE})
+    with pytest.raises(ValueError, match="alphabet must be nonempty"):
+        SwitchedLinearSystem((), 2, {})
+    for alphabet in (("a", "a"), ("a", "")):
+        with pytest.raises(ValueError, match="distinct and nonempty"):
+            SwitchedLinearSystem(alphabet, 2, {s: A_MODE for s in alphabet})
 
 
 def test_system_dimension_is_not_truncated():
@@ -145,23 +151,39 @@ def test_assemble_rejects_alphabet_mismatch():
         assemble_lmi(g, demo_system(), 1.0)
 
 
+def self_loop_node():
+    # one node whose edges all start and end at it: every edge block is
+    # an r = q block
+    graph = LabeledGraph(AB, ("n",), [("n", "n", "a"), ("n", "n", "b")])
+    return graph, demo_system(), 3.981
+
+
+def no_edges():
+    return LabeledGraph(AB, ("x", "y", "z"), []), demo_system(), 3.92
+
+
 def test_constraint_evaluation_matches_direct_formula():
-    rho = 3.92
-    p = assemble_lmi(mixed_horizon(), demo_system(), rho)
-    rng = np.random.default_rng(7)
-    assignment = {}
-    for name in p.nodes:
-        m = rng.normal(size=(p.dimension, p.dimension))
-        assignment[name] = m + m.T
-    modes = demo_system().modes
-    blocks = p.blocks(assignment)
-    assert len(blocks) == len(p.nodes) + len(p.edges)
-    for got, s in zip(blocks, p.nodes):
-        assert np.allclose(got, assignment[s], atol=1e-12)
-    for got, (r, q, h) in zip(blocks[len(p.nodes):], p.edges):
-        a = modes[h]
-        expected = rho**2 * assignment[r] - a.T @ assignment[q] @ a
-        assert np.allclose(got, expected, atol=1e-12)
+    # the stacked blocks equal the per-edge expression bit for bit
+    cases = [(mixed_horizon(), demo_system(), 3.92), wide_db2(),
+             self_loop_node(), no_edges()]
+    for graph, system, rho in cases:
+        p = assemble_lmi(graph, system, rho)
+        rng = np.random.default_rng(7)
+        assignment = {}
+        for name in p.nodes:
+            m = rng.normal(size=(p.dimension, p.dimension))
+            assignment[name] = m + m.T
+        blocks = p.blocks(assignment)
+        n = p.dimension
+        assert blocks.shape == (len(p.nodes) + len(p.edges), n, n)
+        assert p.ends.shape == (len(p.edges), 3)
+        assert p.ends.dtype == np.intp
+        for got, s in zip(blocks, p.nodes):
+            assert np.array_equal(got, assignment[s])
+        for got, (r, q, h) in zip(blocks[len(p.nodes):], p.edges):
+            a = system.modes[h]
+            expected = rho**2 * assignment[r] - a.T @ assignment[q] @ a
+            assert np.array_equal(got, expected)
 
 
 def test_half_identity_edge_constraint_value():

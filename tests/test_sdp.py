@@ -264,6 +264,27 @@ def assert_same_solution(got, want):
 
 
 @pytest.mark.parametrize("case", sorted(REUSE_CASES))
+def test_posed_program_takes_its_constant_blocks_from_the_problem(case):
+    # c0 is the blocks at z = 0: I on every node block and
+    # rho^2 I - A^T I A on every edge block, to the bit
+    graph, system, rho = REUSE_CASES[case]()
+    n = system.dimension
+    program = sdp_module._MarginProgram(assemble_lmi(graph, system, rho),
+                                        DEFAULT_UNKNOWN_CAP)
+    for scale in (1.0, 0.99, 1.01):
+        rate = scale * rho
+        c0 = program.pose(assemble_lmi(graph, system, rate)).c0
+        assert c0.shape == (len(graph.nodes) + len(graph.edges), n, n)
+        nodes = len(graph.nodes)
+        for block in c0[:nodes]:
+            assert np.array_equal(block, np.eye(n))
+        for block, (_, _, h) in zip(c0[nodes:], graph.edges):
+            a = system.modes[h]
+            assert np.array_equal(
+                block, float(rate) ** 2 * np.eye(n) - a.T @ np.eye(n) @ a)
+
+
+@pytest.mark.parametrize("case", sorted(REUSE_CASES))
 def test_one_program_solves_every_rate_like_a_fresh_build(case):
     graph, system, rho = REUSE_CASES[case]()
     program = sdp_module._MarginProgram(assemble_lmi(graph, system, rho),

@@ -144,6 +144,10 @@ def test_lower_bound_word_cap():
 def test_lower_bound_rejects_bad_length():
     with pytest.raises(ValueError):
         jsr_lower_bound(demo_system(), 0)
+    # read as a length, not truncated to 2 or parsed to 3
+    for bad in (2.7, "3"):
+        with pytest.raises(ValueError, match="max_len must be an integer"):
+            jsr_lower_bound(demo_system(), bad)
 
 
 def huge_entry_system():
@@ -413,7 +417,12 @@ def test_decrease_rejects_rate_below_certified():
     ({"tolerance": -1e-9}, "tolerance must be non-negative"),
     ({"trials": -2}, "trials must be non-negative"),
     ({"horizon": -3}, "horizon must be non-negative"),
-], ids=["rho-nan", "rho-inf", "tol-nan", "tol-negative", "trials", "horizon"])
+    ({"trials": 2.7}, "trials must be an integer"),
+    ({"trials": "3"}, "trials must be an integer"),
+    ({"horizon": 2.7}, "horizon must be an integer"),
+    ({"horizon": "3"}, "horizon must be an integer"),
+], ids=["rho-nan", "rho-inf", "tol-nan", "tol-negative", "trials", "horizon",
+        "trials-float", "trials-string", "horizon-float", "horizon-string"])
 def test_decrease_rejects_bad_inputs(bad, message):
     bound, obs, lifted = certified_pipeline()
     kwargs = {"rho_prime": 1.01 * bound.rho_upper, "trials": 1, "horizon": 2}
