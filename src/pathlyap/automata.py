@@ -12,7 +12,6 @@ from __future__ import annotations
 from operator import and_
 
 from .errors import (
-    DEFAULT_SUBSET_CAP,
     Record,
     json_object,
     json_reader,
@@ -39,7 +38,7 @@ __all__ = [
 ]
 
 
-class Automaton(Record, value=True, frozen=True):
+class Automaton(Record, value=True):
     """Nondeterministic finite automaton over a labeled graph.
 
     A word is accepted iff some path from an initial node reading it ends in
@@ -158,7 +157,7 @@ def language_includes(sub: Automaton, sup: Automaton, cap=None) -> bool:
     steps, start, (sub_final, sup_final) = _parts([sub, sup])
     _, hit = _explore_subsets(
         sub.graph.alphabet, _parts_expander(steps), start,
-        state_cap(cap, DEFAULT_SUBSET_CAP),
+        state_cap(cap),
         lambda s: s[0] & sub_final and not s[1] & sup_final,
     )
     return hit is None
@@ -179,7 +178,7 @@ def universality_witness(automata, cap=None):
     steps, start, finals = _parts(automata)
     parent, hit = _explore_subsets(
         alphabet, _parts_expander(steps), start,
-        state_cap(cap, DEFAULT_SUBSET_CAP),
+        state_cap(cap),
         lambda s: not any(map(and_, s, finals)),
     )
     return None if hit is None else _word_to(parent, hit)[::-1]

@@ -23,7 +23,6 @@ from .automata import (
     universality_witness,  # unused here; perfbench/tracing.py wraps this name
 )
 from .errors import (
-    DEFAULT_SUBSET_CAP,
     Record,
     json_array,
     json_object,
@@ -46,7 +45,7 @@ from .graphs import (
 from .observer import observer_graph
 
 
-class CoveringMember(Record, value=True, frozen=True):
+class CoveringMember(Record, value=True):
     """One language in a covering family.
 
     `stem` is recorded when the member is a prefix class, purely for
@@ -64,7 +63,7 @@ class CoveringMember(Record, value=True, frozen=True):
         return {"name": self.name, "automaton": self.automaton.to_json()}
 
 
-class CoveringFamily(Record, value=True, frozen=True):
+class CoveringFamily(Record, value=True):
     __slots__ = ("alphabet", "members")
 
     def __init__(self, alphabet, members):
@@ -124,8 +123,7 @@ class CoveringReport(Record, value=True):
     __slots__ = ("uncovered_witness", "graph")
 
     def __init__(self, uncovered_witness, graph):
-        self.uncovered_witness = uncovered_witness
-        self.graph = graph
+        self._freeze(uncovered_witness, graph)
 
     @property
     def covers_all_words(self):
@@ -178,7 +176,7 @@ def validate_covering(c, cap=None):
     finds on the members.  That run holds every state the members' own run
     would, so the cap stops no validation that run would have let pass.
     """
-    limit = state_cap(cap, DEFAULT_SUBSET_CAP)
+    limit = state_cap(cap)
     names = [m.name for m in c.members]
     n = len(names)
     steps, initial, finals = _parts([m.automaton for m in c.members])

@@ -4,8 +4,9 @@ the base class of the package's records.
 All potentially exponential constructions (subset exploration,
 determinization, word enumeration) carry a state cap and abort with
 :class:`ResourceLimitError` instead of hanging.  The environment variable
-``PATHLYAP_STATE_CAP`` overrides the default caps globally.  A cap,
-explicit or from the environment, must be a positive integer.
+``PATHLYAP_STATE_CAP`` overrides the one default cap,
+:data:`DEFAULT_STATE_CAP`, globally.  A cap, explicit or from the
+environment, must be a positive integer.
 """
 
 import functools
@@ -14,47 +15,33 @@ import os
 
 STATE_CAP_ENV = "PATHLYAP_STATE_CAP"
 
-DEFAULT_SUBSET_CAP = 1 << 20
-DEFAULT_WORD_CAP = 1 << 20
+DEFAULT_STATE_CAP = 1 << 20
 DEFAULT_UNKNOWN_CAP = 64
 
 
 class Record:
     """Base of the package's records: plain classes whose fields are their
     ``__slots__``, in constructor order, shown by ``repr`` as
-    ``Name(field=value, ...)``.  A record has one of three kinds of
-    equality, chosen by its class keywords:
+    ``Name(field=value, ...)``.  Every record is immutable: its
+    ``__init__`` sets the fields once through :meth:`_freeze`, which also
+    keeps them as one tuple, and assigning or deleting a field afterwards
+    raises AttributeError.  A record has one of two kinds of equality,
+    chosen by its class keyword:
 
     - by default, identity: a record equals only itself and hashes by
       identity.  This suits records with numpy fields, on which value
       equality is ill-defined.
     - ``value=True``: equal to a record of the same class whose fields are
-      equal, and unhashable, since its fields may be reassigned.
-    - ``value=True, frozen=True``: value equality, hashed by its fields, and
-      immutable.
-
-    ``frozen=True`` makes a record immutable whatever its equality.  Its
-    ``__init__`` sets the fields through :meth:`_freeze`, which also keeps
-    them as one tuple for equality and hashing.
+      equal, and hashed by its fields, so it is hashable exactly when they
+      all are.
     """
 
     __slots__ = ("_key",)
 
-    def __init_subclass__(cls, value=False, frozen=False, **kwargs):
+    def __init_subclass__(cls, value=False, **kwargs):
         super().__init_subclass__(**kwargs)
-        if frozen:
-            cls.__setattr__ = cls.__delattr__ = Record._frozen
-            if value:
-                cls.__eq__, cls.__hash__ = Record._key_eq, Record._key_hash
-        elif value:
-            fields = operator.attrgetter(*cls.__slots__)
-
-            def __eq__(self, other):
-                if other.__class__ is self.__class__:
-                    return fields(self) == fields(other)
-                return NotImplemented
-
-            cls.__eq__, cls.__hash__ = __eq__, None
+        if value:
+            cls.__eq__, cls.__hash__ = Record._key_eq, Record._key_hash
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
@@ -62,7 +49,7 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
     def _freeze(self, *values):
-        """Set a frozen record's fields, given in slot order."""
+        """Set the record's fields, given in slot order."""
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_key", values)
@@ -71,6 +58,8 @@ class Record:
         raise AttributeError(
             f"{type(self).__qualname__} is frozen: cannot change {name!r}"
         )
+
+    __setattr__ = __delattr__ = _frozen
 
     def _key_eq(self, other):
         if other.__class__ is self.__class__:
@@ -179,6 +168,15 @@ def json_reader(what):
     return wrap
 
 
+def integer(value, name):
+    """`value` as an int; 2.7 or "3" is a ValueError that names `name`, not
+    truncated or parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def positive_cap(value, name):
     """`value` (an int, or its decimal text) as a positive int; a ValueError
     that names `name` otherwise."""
@@ -191,8 +189,9 @@ def positive_cap(value, name):
     return cap
 
 
-def state_cap(explicit=None, default=DEFAULT_SUBSET_CAP):
-    """Resolve a cap: explicit argument, else env override, else default.
+def state_cap(explicit=None):
+    """Resolve a cap: explicit argument, else env override, else
+    :data:`DEFAULT_STATE_CAP`.
 
     Either must be a positive integer; anything else raises ValueError.
     """
@@ -201,4 +200,4 @@ def state_cap(explicit=None, default=DEFAULT_SUBSET_CAP):
     env = os.environ.get(STATE_CAP_ENV)
     if env:
         return positive_cap(env, STATE_CAP_ENV)
-    return default
+    return DEFAULT_STATE_CAP

@@ -13,10 +13,9 @@ import itertools
 from operator import not_
 
 from .errors import (
-    DEFAULT_SUBSET_CAP,
-    DEFAULT_WORD_CAP,
     Record,
     ResourceLimitError,
+    integer,
     json_array,
     json_object,
     json_reader,
@@ -36,7 +35,7 @@ __all__ = [
 ]
 
 
-class LabeledGraph(Record, value=True, frozen=True):
+class LabeledGraph(Record, value=True):
     """Immutable labeled multigraph.
 
     Edges are canonicalized at construction: deduplicated and sorted by
@@ -130,13 +129,14 @@ def de_bruijn(alphabet, order: int) -> LabeledGraph:
     The successor of word w under symbol h is the word (h + w) truncated to
     `order` symbols, i.e. shift in the new symbol at the front.  Complete and
     deterministic by construction.  Raises ResourceLimitError when the
-    |alphabet|^order nodes exceed the word cap (default 2^20,
-    env-overridable).
+    |alphabet|^order nodes exceed the state cap (default 2^20,
+    env-overridable).  An order that is not an int is a ValueError.
     """
     alphabet = tuple(alphabet)
+    order = integer(order, "order")
     if order < 1:
         raise ValueError("order must be >= 1")
-    limit = state_cap(None, DEFAULT_WORD_CAP)
+    limit = state_cap()
     # two or more symbols exceed the cap within limit.bit_length() of
     # them, so the power stays small however large the order
     count = len(alphabet) ** min(order, limit.bit_length())
@@ -328,7 +328,7 @@ def find_unreadable_word(g: LabeledGraph, cap=None):
     Raises ResourceLimitError when more than `cap` distinct subsets appear
     (default 2^20, env-overridable).
     """
-    limit = state_cap(cap, DEFAULT_SUBSET_CAP)
+    limit = state_cap(cap)
     parent, hit = _explore_subsets(
         g.alphabet, _mask_expander(g), (1 << len(g.nodes)) - 1, limit, not_
     )

@@ -57,7 +57,7 @@ class SwitchedLinearSystem(Record):
     __slots__ = ("alphabet", "dimension", "modes")
 
     def __init__(self, alphabet, dimension, modes):
-        self.alphabet = alphabet = tuple(alphabet)
+        alphabet = tuple(alphabet)
         if not alphabet:
             raise ValueError("alphabet must be nonempty")
         if len(set(alphabet)) != len(alphabet) or any(not s for s in alphabet):
@@ -65,8 +65,7 @@ class SwitchedLinearSystem(Record):
         n = operator.index(dimension)
         if n < 1:
             raise ValueError("dimension must be positive")
-        self.dimension = n
-        if set(modes) != set(self.alphabet):
+        if set(modes) != set(alphabet):
             raise ValueError("modes must provide exactly one matrix per symbol")
         fixed = {}
         for sym, m in modes.items():
@@ -78,7 +77,7 @@ class SwitchedLinearSystem(Record):
             if not np.all(np.isfinite(m)):
                 raise ValueError(f"mode {sym!r}: entries must be finite")
             fixed[sym] = m
-        self.modes = fixed
+        self._freeze(alphabet, n, fixed)
 
     def to_json(self):
         return {
@@ -119,9 +118,6 @@ class QuadraticCertificate(Record):
             raise ValueError("rho must be positive and finite")
         if set(P) != set(graph.nodes):
             raise ValueError("P map must cover exactly the graph nodes")
-        self.graph = graph
-        self.rho = rho
-        self.margin = margin
         fixed = {}
         shape = None
         for node, m in P.items():
@@ -131,7 +127,7 @@ class QuadraticCertificate(Record):
             elif m.shape != shape:
                 raise ValueError("all P matrices must share one dimension")
             fixed[node] = m
-        self.P = fixed
+        self._freeze(graph, fixed, rho, margin)
 
     @property
     def dimension(self):
@@ -241,7 +237,7 @@ def product_growth(sys, max_len):
 # LMI assembly
 # ---------------------------------------------------------------------------
 
-class LmiProblem(Record, frozen=True):
+class LmiProblem(Record):
     """Margin program for certifying rate `rho` along a graph.
 
     One n x n matrix P_s per node, its trace pinned to n.  Blocks, each
@@ -293,11 +289,7 @@ class VerificationReport(Record, value=True):
 
     def __init__(self, ok, margin, node_minima, edge_minima,
                  implied_gamma=None):
-        self.ok = ok
-        self.margin = margin
-        self.node_minima = node_minima
-        self.edge_minima = edge_minima
-        self.implied_gamma = implied_gamma
+        self._freeze(ok, margin, node_minima, edge_minima, implied_gamma)
 
     def to_json(self):
         return {
@@ -377,9 +369,7 @@ class MaxQuadraticFunction(Record):
     __slots__ = ("members", "rho", "dimension")
 
     def __init__(self, members, rho, dimension):
-        self.members = members
-        self.rho = rho
-        self.dimension = dimension
+        self._freeze(members, rho, dimension)
 
 
 def lift_certificate(cert, obs):

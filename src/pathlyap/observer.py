@@ -49,9 +49,7 @@ class ObserverGraph(Record, value=True):
     __slots__ = ("graph", "root", "subset_map")
 
     def __init__(self, graph, root, subset_map=None):
-        self.graph = graph
-        self.root = root
-        self.subset_map = {} if subset_map is None else subset_map
+        self._freeze(graph, root, {} if subset_map is None else subset_map)
 
     def to_json(self):
         d = self.graph.to_json()

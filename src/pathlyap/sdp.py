@@ -93,13 +93,8 @@ class MarginSolution(Record):
 
     def __init__(self, margin, assignment, iterations, status, point=None,
                  weight=None, rho=None):
-        self.margin = margin
-        self.assignment = assignment
-        self.iterations = iterations
-        self.status = status
-        self.point = point
-        self.weight = weight
-        self.rho = rho
+        self._freeze(margin, assignment, iterations, status, point, weight,
+                     rho)
 
 
 def _trace_zero_basis(n):
@@ -312,10 +307,7 @@ class JsrBoundResult(Record):
     __slots__ = ("rho_upper", "certificate", "trace", "tolerance")
 
     def __init__(self, rho_upper, certificate, trace, tolerance):
-        self.rho_upper = rho_upper
-        self.certificate = certificate
-        self.trace = trace
-        self.tolerance = tolerance
+        self._freeze(rho_upper, certificate, trace, tolerance)
 
     def to_json(self):
         return {
@@ -439,10 +431,11 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
             "certificate from the smallest feasible probe failed "
             "independent verification"
         )
-    cert.margin = report.margin
+    # the certificate carries the margin its independent check found
     return JsrBoundResult(
         rho_upper=hi,
-        certificate=cert,
+        certificate=QuadraticCertificate(graph, cert.P, hi,
+                                         margin=report.margin),
         trace=tuple((s.rho, float(s.margin)) for s in solutions),
         tolerance=float(tol),
     )

@@ -7,17 +7,16 @@ two by walking member structures forward in time.
 """
 
 import math
-import operator
 
 import numpy as np
 
 from .automata import accepts
 from .covering import CoveringFamily, covering_to_graph
 from .errors import (
-    DEFAULT_WORD_CAP,
     InvariantViolation,
     Record,
     ResourceLimitError,
+    integer,
     state_cap,
 )
 from .lyapunov import evaluate_mblf, product_growth
@@ -26,22 +25,13 @@ from .observer import ObserverGraph
 DEFAULT_SEED = 1729
 
 
-def _count(value, name):
-    """`value` as an int; 2.7 or "3" is a ValueError, not truncated or read."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 class Trajectory(Record):
     """States x(0..K) under word: states[k+1] = A_{word[k]} @ states[k]."""
 
     __slots__ = ("states", "word")
 
     def __init__(self, states, word):
-        self.states = states
-        self.word = word
+        self._freeze(states, word)
 
     def to_json(self):
         return {
@@ -81,10 +71,10 @@ def jsr_lower_bound(sys, max_len, cap=None):
     maximum, reported in time order.  Raises ResourceLimitError when the
     count of every word up to max_len would exceed the cap.
     """
-    max_len = _count(max_len, "max_len")
+    max_len = integer(max_len, "max_len")
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    limit = state_cap(cap, DEFAULT_WORD_CAP)
+    limit = state_cap(cap)
     n_sym = len(sys.alphabet)
     total = sum(n_sym ** length for length in range(1, max_len + 1))
     if total > limit:
@@ -103,15 +93,8 @@ class DecreaseReport(Record):
 
     def __init__(self, trials, passes, failures, worst_slack, seed, gamma,
                  envelope_ratio, tolerance, violations):
-        self.trials = trials
-        self.passes = passes
-        self.failures = failures
-        self.worst_slack = worst_slack
-        self.seed = seed
-        self.gamma = gamma
-        self.envelope_ratio = envelope_ratio
-        self.tolerance = tolerance
-        self.violations = violations
+        self._freeze(trials, passes, failures, worst_slack, seed, gamma,
+                     envelope_ratio, tolerance, violations)
 
     def to_json(self):
         fields = {name: getattr(self, name) for name in self.__slots__}
@@ -157,10 +140,11 @@ def trajectory_decrease_check(w_fn, structure, sys, rho_prime, trials=100,
         raise ValueError("rho_prime must exceed the certified rate")
     if not 0 <= tolerance < math.inf:
         raise ValueError("tolerance must be non-negative and finite")
-    trials, horizon = _count(trials, "trials"), _count(horizon, "horizon")
+    trials, horizon = integer(trials, "trials"), integer(horizon, "horizon")
     for name, value in (("trials", trials), ("horizon", horizon)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative")
+    used_seed = DEFAULT_SEED if seed is None else integer(seed, "seed")
     graph, starts, successors = _structure_walk(structure)
     if set(graph.nodes) != set(w_fn.members):
         raise ValueError(
@@ -181,7 +165,6 @@ def trajectory_decrease_check(w_fn, structure, sys, rho_prime, trials=100,
     top = max(float(e[-1]) for member in spectra for e in member)
     ratio = (top / a1) if a1 > 0 else None
 
-    used_seed = DEFAULT_SEED if seed is None else int(seed)
     rng = np.random.default_rng(used_seed)
 
     alphabet = graph.alphabet

@@ -173,8 +173,12 @@ def test_de_bruijn_unary():
 
 
 def test_de_bruijn_order_zero_rejected():
-    with pytest.raises(ValueError):
-        de_bruijn(("a", "b"), 0)
+    # an order that is not an int is refused too, not truncated or parsed
+    for order, message in ((0, "order must be >= 1"),
+                           (2.5, "order must be an integer"),
+                           ("2", "order must be an integer")):
+        with pytest.raises(ValueError, match=message):
+            de_bruijn(("a", "b"), order)
 
 
 def test_de_bruijn_node_cap(monkeypatch):

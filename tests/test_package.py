@@ -8,10 +8,13 @@ it must run without numpy, so those checks run in fresh interpreters.
 import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import pathlyap
 
@@ -103,6 +106,71 @@ def test_every_json_reader_turns_type_errors_into_input_errors():
     assert len(readers) >= 6
     for name in readers:
         assert hasattr(getattr(pathlyap, name), "__wrapped__"), name
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of every record, each built by the package's own calls
+    on the bundled demo, keyed by its class."""
+    from pathlyap import (
+        assemble_lmi, de_bruijn_1_graph, demo_system, jsr_upper_bound,
+        lift_certificate, observer_graph, observer_to_covering, simulate,
+        solve_margin, trajectory_decrease_check, validate_covering,
+        verify_certificate,
+    )
+    system, graph = demo_system(), de_bruijn_1_graph()
+    problem = assemble_lmi(graph, system, 4.0)
+    bound = jsr_upper_bound(graph, system)
+    observer = observer_graph(graph)
+    covering = observer_to_covering(observer)
+    lifted = lift_certificate(bound.certificate, observer)
+    built = [
+        system, graph, problem, solve_margin(problem), bound,
+        bound.certificate, verify_certificate(bound.certificate, system),
+        observer, covering, covering.members[0],
+        covering.members[0].automaton, validate_covering(covering), lifted,
+        simulate(system, ("a", "b"), (1.0, 0.0)),
+        trajectory_decrease_check(lifted, observer, system,
+                                  1.01 * bound.rho_upper, trials=2,
+                                  horizon=3),
+    ]
+    return {type(record): record for record in built}
+
+
+def test_every_record_is_immutable(records):
+    from pathlyap import verify_certificate
+    from pathlyap.errors import Record
+    from pathlyap.lyapunov import SwitchedLinearSystem
+    from pathlyap.sdp import JsrBoundResult
+    # the bound's certificate is built with the margin its check found
+    cert = records[JsrBoundResult].certificate
+    report = verify_certificate(cert, records[SwitchedLinearSystem])
+    assert cert.margin == report.margin
+    for info in pkgutil.iter_modules(pathlyap.__path__):
+        importlib.import_module(f"pathlyap.{info.name}")
+    assert set(records) == set(Record.__subclasses__())
+    for cls, record in records.items():
+        for name in cls.__slots__:
+            before = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) is before, f"{cls.__name__}.{name}"
+        with pytest.raises(AttributeError):
+            record.no_such_field = None
+
+
+def test_value_records_hash_by_their_fields(records):
+    from pathlyap import validate_covering
+    from pathlyap.covering import CoveringFamily, CoveringReport
+    from pathlyap.observer import ObserverGraph
+    report = records[CoveringReport]
+    again = validate_covering(records[CoveringFamily])
+    assert report == again and hash(report) == hash(again)
+    # a dict field leaves a value record unhashable
+    with pytest.raises(TypeError):
+        hash(records[ObserverGraph])
 
 
 def test_every_benchmark_lookup_site_resolves():

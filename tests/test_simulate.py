@@ -421,8 +421,11 @@ def test_decrease_rejects_rate_below_certified():
     ({"trials": "3"}, "trials must be an integer"),
     ({"horizon": 2.7}, "horizon must be an integer"),
     ({"horizon": "3"}, "horizon must be an integer"),
+    ({"seed": 2.7}, "seed must be an integer"),
+    ({"seed": "7"}, "seed must be an integer"),
 ], ids=["rho-nan", "rho-inf", "tol-nan", "tol-negative", "trials", "horizon",
-        "trials-float", "trials-string", "horizon-float", "horizon-string"])
+        "trials-float", "trials-string", "horizon-float", "horizon-string",
+        "seed-float", "seed-string"])
 def test_decrease_rejects_bad_inputs(bad, message):
     bound, obs, lifted = certified_pipeline()
     kwargs = {"rho_prime": 1.01 * bound.rho_upper, "trials": 1, "horizon": 2}
