@@ -52,17 +52,21 @@ strictly feasible (its Cholesky factorization succeeded), so it needs no
 back-off, and starting at its weight skips the stages already walked.
 :func:`pathlyap.sdp.solve_margin` also shifts such a point to start a
 problem at a nearby rate.
-Wherever it starts, a solve that converges at its last stage ends within
-``N mu`` of the optimum for that stage's weight mu, the last at or above
-:data:`MU_MIN`.
+
+Every solve walks one schedule: the weight shrinks by :data:`MU_SHRINK`
+per stage and its last stage is clamped to exactly :data:`MU_MIN`.  A
+caller that passes ``decide`` walks the same stages with the early exits
+above.  Wherever it starts, a solve whose last stage is centred ends
+within ``N MU_MIN`` of the optimum.
 """
 
 import numpy as np
 
-# path-following tuning: final barrier weight, Newton decrement tolerance,
-# Newton iterations per stage, Armijo slope fraction, backtracking shrink
-# and smallest line-search step
+# path-following tuning: final barrier weight, its shrink per stage, Newton
+# decrement tolerance, Newton iterations per stage, Armijo slope fraction,
+# backtracking shrink and smallest line-search step
 MU_MIN = 1e-10
+MU_SHRINK = 0.05
 NEWTON_TOL = 1e-11
 MAX_NEWTON = 80
 ARMIJO = 0.25
@@ -87,20 +91,22 @@ def _factor(s):
     return chol, value
 
 
-def barrier_solve(c0, local, index, z0, mu0, mu_shrink, decide=None):
+def barrier_solve(c0, local, index, z0, mu0, decide=None):
     """Damped-Newton path following for max z[-1] s.t. all blocks PD.
 
     c0 is the (K, n, n) constant stack, local the (K, w, n, n) directions
     of each block and index the (K, w) unknown of each slot; slots of one
     block that share an unknown add up.  The barrier weight starts at mu0
-    and is multiplied by mu_shrink after each stage, down to the last stage
-    at or above :data:`MU_MIN`.  Returns (z, iterations, status,
-    mu) with status 0 when the final centering converged, 1 when it ran
-    out of Newton iterations, and 2 when z0 is not strictly feasible (z is
-    then z0 and no iteration is counted) or a Newton step is not finite;
-    mu is the barrier weight of the stage the solve stopped in (mu0 if it
-    stopped before the first).  The caller recomputes the reported margin
-    from z independently, so status is advisory.
+    and is multiplied by :data:`MU_SHRINK` after each stage, clamped to
+    :data:`MU_MIN`, and the stage at MU_MIN is the last, so a solve that
+    takes no early exit ends at weight exactly MU_MIN; a mu0 below MU_MIN
+    runs no stage.  Returns (z, iterations, status, mu) with status 0 when
+    the final centering converged, 1 when it ran out of Newton iterations,
+    and 2 when z0 is not strictly feasible (z is then z0 and no iteration
+    is counted) or a Newton step is not finite; mu is the barrier weight of
+    the stage the solve stopped in (mu0 if it stopped before the first).
+    The caller recomputes the reported margin from z independently, so
+    status is advisory.
 
     With `decide` set, the solve stops as soon as the sign of z[-1] - decide
     at the optimum is certified: after an accepted step with z[-1] > decide
@@ -132,9 +138,8 @@ def barrier_solve(c0, local, index, z0, mu0, mu_shrink, decide=None):
     # duality gap of a centred point per unit barrier weight
     gap = count * n
     status = 0
-    mu = stage = mu0
+    mu = mu0
     while mu >= MU_MIN:
-        stage = mu
         # converged ends the stage; centred only when the decrement did
         converged = centred = False
         for _ in range(MAX_NEWTON):
@@ -189,5 +194,7 @@ def barrier_solve(c0, local, index, z0, mu0, mu_shrink, decide=None):
         status = 0 if converged else 1
         if decide is not None and centred and z[-1] + gap * mu < decide:
             return z, iterations, 0, mu
-        mu *= mu_shrink
-    return z, iterations, status, stage
+        if mu == MU_MIN:
+            break
+        mu = max(mu * MU_SHRINK, MU_MIN)
+    return z, iterations, status, mu

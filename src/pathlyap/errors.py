@@ -169,20 +169,22 @@ def json_reader(what):
 
 
 def integer(value, name):
-    """`value` as an int; 2.7 or "3" is a ValueError that names `name`, not
-    truncated or parsed."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """`value` as an int; 2.7, "3" or True is a ValueError that names
+    `name`, not truncated, parsed or read as 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def positive_cap(value, name):
     """`value` (an int, or its decimal text) as a positive int; a ValueError
-    that names `name` otherwise."""
+    that names `name` otherwise, also for True."""
     try:
-        cap = int(value) if isinstance(value, str) else operator.index(value)
-    except (TypeError, ValueError):
+        cap = int(value) if isinstance(value, str) else integer(value, name)
+    except ValueError:
         cap = 0
     if cap < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")

@@ -30,19 +30,21 @@ the Lyndon words are eigensolved.  No rate at or below the joint spectral
 radius has a certificate, so the anchor is infeasible on every graph
 without a probe.  The bracket is searched in log scale above the anchor
 (:func:`_log_midpoint`), so a bound that sits on a short product takes a
-handful of probes.  Bisection reads only the sign of
-each probe's margin, so its probes run ``solve_margin`` in sign-only mode,
-which stops each solve once the kernel has certified which side of
-:data:`FEASIBILITY_THRESHOLD` the optimum lies on.  Every probe after the
+handful of probes.  Every solve walks the kernel's one barrier schedule
+(:data:`pathlyap._kernels.MU_SHRINK` per stage, the last stage clamped to
+:data:`pathlyap._kernels.MU_MIN`).  Bisection reads only the sign of each
+probe's margin, so its probes run ``solve_margin`` in sign-only mode, which
+walks the same stages but stops once the kernel has certified which side
+of :data:`FEASIBILITY_THRESHOLD` the optimum lies on.  Every probe after the
 first resumes from the earlier probe nearest to it in rate: it starts at
 that probe's point and barrier weight, with the margin unknown lowered just
 enough to be strictly feasible at the new rate, so it skips the stages of
 the central path that probe already walked (``solve_margin``'s `start`).  A
 start moves where a probe is decided, not what it decides.  The smallest
 feasible probe is then solved once more in full, resumed the same way from
-its own probe, and the certificate comes from that solve; its margin is
-within the central-path gap K n MU_MIN of the optimum
-(:data:`pathlyap._kernels.MU_MIN`).
+its own probe, and the certificate comes from that solve.  It ends at
+weight exactly MU_MIN, so when its last stage is centred its margin is
+within the central-path gap K n MU_MIN of the optimum.
 """
 
 import math
@@ -185,12 +187,14 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False, start=None):
     built once for all its probes and posed at the probe's rate; such a
     program was held to the cap when it was built.
 
-    With `sign_only`, the solve only decides whether the margin clears
-    :data:`FEASIBILITY_THRESHOLD`: the barrier weight shrinks by 0.05 per
-    stage instead of 0.2, and the kernel stops once the verdict is
-    certified.  The returned margin is then recomputed at that point, so
-    its sign against the threshold is the verdict but its value is not the
-    optimum.  A solve that no stage decides runs to the end.
+    A full solve that does not break down ends at weight exactly
+    :data:`pathlyap._kernels.MU_MIN`, the last stage of the kernel's one
+    schedule.  With `sign_only`, the solve only decides whether the margin
+    clears :data:`FEASIBILITY_THRESHOLD`: it walks the same stages, and the
+    kernel stops once the verdict is certified.  The returned margin is
+    then recomputed at that point, so its sign against the threshold is
+    the verdict but its value is not the optimum.  A solve that no stage
+    decides runs to the end.
 
     `start`, a :class:`MarginSolution` on the same graph and system at
     any rate rho_s, starts the kernel at that solution's point and barrier
@@ -231,7 +235,7 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False, start=None):
             z0[-1] -= change * np.abs(np.linalg.eigvalsh(held)).max()
 
     z, iterations, code, weight = barrier_solve(
-        c0, program.local, program.index, z0, mu0, 0.05 if sign_only else 0.2,
+        c0, program.local, program.index, z0, mu0,
         decide=FEASIBILITY_THRESHOLD if sign_only else None,
     )
 
@@ -299,9 +303,10 @@ class JsrBoundResult(Record):
     it resumed from: its sign against the threshold is the verdict, and it
     is not the optimum.  certificate comes from a full
     solve at the bound, resumed from the point where the bound's probe
-    stopped, re-verified; its margin is within the central-path gap
-    K n MU_MIN (K blocks of order n, final barrier weight
-    :data:`pathlyap._kernels.MU_MIN`) of the optimum.
+    stopped, re-verified.  That solve ends at barrier weight exactly
+    :data:`pathlyap._kernels.MU_MIN`, so when its last stage is centred
+    its margin is within the central-path gap K n MU_MIN (K blocks of
+    order n) of the optimum.
     """
 
     __slots__ = ("rho_upper", "certificate", "trace", "tolerance")
@@ -370,13 +375,13 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
 
     def solved(problem, start, sign_only=False):
         # every solve poses the one program at its problem's rate
-        sol = solve_margin(program.pose(problem), unknown_cap=cap,
-                           sign_only=sign_only, start=start)
+        sol = solve_margin(program.pose(problem), sign_only=sign_only,
+                           start=start)
         if (start is not None and sol.status == "numerical-failure"
                 and sol.iterations == 0):
             # the kernel refused the shifted start, which only rounding can
             # cause: solve from the cold start instead
-            sol = solve_margin(program, unknown_cap=cap, sign_only=sign_only)
+            sol = solve_margin(program, sign_only=sign_only)
         if sol.status == "numerical-failure":
             raise NumericalError(
                 f"margin solve broke down at rate {problem.rho}"

@@ -173,10 +173,12 @@ def test_de_bruijn_unary():
 
 
 def test_de_bruijn_order_zero_rejected():
-    # an order that is not an int is refused too, not truncated or parsed
+    # an order that is not an int is refused too, not truncated, parsed or
+    # read as 1
     for order, message in ((0, "order must be >= 1"),
                            (2.5, "order must be an integer"),
-                           ("2", "order must be an integer")):
+                           ("2", "order must be an integer"),
+                           (True, "order must be an integer")):
         with pytest.raises(ValueError, match=message):
             de_bruijn(("a", "b"), order)
 
@@ -241,7 +243,7 @@ def test_witness_is_first_unreadable_word():
     assert found > 20
 
 
-@pytest.mark.parametrize("cap", [0, -3, 2.5])
+@pytest.mark.parametrize("cap", [0, -3, 2.5, True])
 def test_invalid_state_cap_is_a_value_error(cap):
     with pytest.raises(ValueError, match="state cap must be a positive"):
         find_unreadable_word(de_bruijn(("a", "b"), 1), cap=cap)

@@ -2,10 +2,11 @@
 
 REFERENCE holds what the earlier per-block loop kernel (one eigh and one
 n^2 x n^2 Kronecker product per constraint block per Newton step) returned
-through solve_margin on three fixed problems.  The stacked kernel runs the
-same algorithm with its sums in another order, so iteration counts and
-statuses must match exactly, and margins and P only to within the rounding
-that reordering can produce.
+through solve_margin on three fixed problems, under a barrier schedule that
+shrank the weight by 0.2 per stage (the record_schedule fixture restores
+it).  The stacked kernel runs the same algorithm with its sums in another
+order, so iteration counts and statuses must match exactly, and margins and
+P only to within the rounding that reordering can produce.
 """
 
 import numpy as np
@@ -175,6 +176,19 @@ REFERENCE = {
 }
 
 
+@pytest.fixture
+def record_schedule(monkeypatch):
+    """The barrier schedule the record was taken under: the weight shrinks
+    by 0.2 per stage from 1 and stops at 0.2^14, the last stage at or above
+    1e-10, reached by the same 14 multiplications."""
+    last = 1.0
+    for _ in range(14):
+        last *= 0.2
+    monkeypatch.setattr(kernels, "MU_SHRINK", 0.2)
+    monkeypatch.setattr(kernels, "MU_MIN", last)
+
+
+@pytest.mark.usefixtures("record_schedule")
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_loop_kernel_record(name):
     graph, system, rho = CASES[name]()
@@ -188,8 +202,18 @@ def test_matches_loop_kernel_record(name):
         assert np.allclose(sol.assignment[node], matrix, rtol=0.0, atol=P_TOL)
 
 
-# solve_margin's settings after z0 for a full solve: mu0, mu_shrink
-SETTINGS = (1.0, 0.2)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_full_solve_ends_at_mu_min(name):
+    # one schedule: the last stage is clamped to MU_MIN, not the last
+    # power of MU_SHRINK above it
+    graph, system, rho = CASES[name]()
+    sol = solve_margin(assemble_lmi(graph, system, rho))
+    assert sol.status == "optimal"
+    assert sol.weight == kernels.MU_MIN
+
+
+# solve_margin's settings after z0 for a cold solve: mu0
+SETTINGS = (1.0,)
 
 
 def one_block():
@@ -242,8 +266,9 @@ def test_newton_budget_exhausted(monkeypatch):
     monkeypatch.setattr(kernels, "MAX_NEWTON", 1)
     _, iterations, status, _ = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
     assert status == 1
-    # one Newton step per barrier stage: mu runs 1, 0.2, ..., down to 1e-10
-    assert iterations == 15
+    # one Newton step per barrier stage: mu runs 1, 0.05, ..., 0.05^7 and
+    # then the clamped last stage at 1e-10
+    assert iterations == 9
 
 
 # ---------------------------------------------------------------------------
@@ -290,28 +315,27 @@ def test_unconverged_stage_decides_nothing(monkeypatch):
 def test_stalled_line_search_decides_nothing(monkeypatch):
     # with min_step > 1 no step is ever tried, so every stage after the
     # first (where z0 is centred) ends on a stall at z0 = (0, -1), whose
-    # t + K n mu falls below decide from mu = 0.2 on; the optimum t = 1 is
+    # t + K n mu falls below decide from mu = 0.05 on; the optimum t = 1 is
     # above decide, so a stalled stage end must not give a verdict
     c0, d, z0 = one_block()
     monkeypatch.setattr(kernels, "MIN_STEP", 2.0)
     z, iterations, status, mu = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS,
                                               decide=0.5)
     assert np.array_equal(z, z0)
-    # no exit: one Newton step in each of the 15 stages, down to the last
-    assert iterations == 15
-    assert mu == pytest.approx(0.2 ** 14)
+    # no exit: one Newton step in each of the 9 stages, down to the last
+    assert iterations == 9
+    assert mu == kernels.MU_MIN
 
 
 def test_resume_from_a_decided_point_reaches_the_optimum():
     c0, d, z0 = one_block()
     _, full, _, weight = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
-    # mu runs 1, 0.2, ..., and the last stage at or above 1e-10 is 0.2^14
-    assert weight == pytest.approx(0.2 ** 14)
+    # mu runs 1, 0.05, ..., and the last stage is clamped to MU_MIN
+    assert weight == kernels.MU_MIN
     z, decided, _, mu = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS,
                                       decide=0.9)
     assert mu < 1.0
-    z, resumed, status, _ = barrier_solve(c0, d, [[0, 1]], z, mu,
-                                          *SETTINGS[1:])
+    z, resumed, status, _ = barrier_solve(c0, d, [[0, 1]], z, mu)
     assert status == 0
     assert np.allclose(z, [0.0, 1.0], rtol=0.0, atol=1e-8)
     assert decided + resumed <= full
@@ -334,6 +358,7 @@ def test_sign_only_verdict_matches_the_full_solve(name, scale):
 # is skipped, not factorized
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("record_schedule")
 @pytest.mark.parametrize("name", ["demo-db3", "wide-db2"])
 def test_line_search_rarely_factorizes_a_step_outside_the_cone(monkeypatch,
                                                                name):

@@ -20,6 +20,7 @@ from pathlyap.lyapunov import (
     certificate_from_json,
     verify_certificate,
 )
+from pathlyap._kernels import MU_MIN
 import pathlyap.sdp as sdp_module
 from pathlyap.sdp import (
     FEASIBILITY_THRESHOLD,
@@ -133,7 +134,7 @@ def test_margin_unknown_cap():
         solve_margin(p)
     sol = solve_margin(p, unknown_cap=200)
     assert sol.status == "optimal"
-    for bad in (0, -1, 200.0):
+    for bad in (0, -1, 200.0, True):
         with pytest.raises(ValueError, match="unknown cap must be a positive"):
             solve_margin(p, unknown_cap=bad)
 
@@ -322,6 +323,30 @@ def test_bound_builds_its_program_once(monkeypatch):
     res = jsr_upper_bound(de_bruijn(("a", "b"), 2), demo_system())
     assert len(res.trace) > 5
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("case", ["demo-db2", "wide-db2"])
+def test_certifying_solve_ends_at_mu_min(monkeypatch, case):
+    if case == "demo-db2":
+        graph, system = de_bruijn(("a", "b"), 2), demo_system()
+    else:
+        graph, system, _ = wide_db2()
+    full = []
+    solve = sdp_module.solve_margin
+
+    def recording(problem, *args, sign_only=False, **options):
+        sol = solve(problem, *args, sign_only=sign_only, **options)
+        if not sign_only:
+            full.append(sol)
+        return sol
+
+    monkeypatch.setattr(sdp_module, "solve_margin", recording)
+    res = jsr_upper_bound(graph, system)
+    # the certifying solve resumes from the bound's probe and still walks
+    # down to the clamped last stage
+    (sol,) = full
+    assert sol.rho == res.rho_upper
+    assert sol.weight == MU_MIN
 
 
 # ---------------------------------------------------------------------------

@@ -144,8 +144,8 @@ def test_lower_bound_word_cap():
 def test_lower_bound_rejects_bad_length():
     with pytest.raises(ValueError):
         jsr_lower_bound(demo_system(), 0)
-    # read as a length, not truncated to 2 or parsed to 3
-    for bad in (2.7, "3"):
+    # read as a length, not truncated to 2, parsed to 3 or read as 1
+    for bad in (2.7, "3", True):
         with pytest.raises(ValueError, match="max_len must be an integer"):
             jsr_lower_bound(demo_system(), bad)
 
@@ -419,13 +419,14 @@ def test_decrease_rejects_rate_below_certified():
     ({"horizon": -3}, "horizon must be non-negative"),
     ({"trials": 2.7}, "trials must be an integer"),
     ({"trials": "3"}, "trials must be an integer"),
+    ({"trials": True}, "trials must be an integer"),
     ({"horizon": 2.7}, "horizon must be an integer"),
     ({"horizon": "3"}, "horizon must be an integer"),
     ({"seed": 2.7}, "seed must be an integer"),
     ({"seed": "7"}, "seed must be an integer"),
 ], ids=["rho-nan", "rho-inf", "tol-nan", "tol-negative", "trials", "horizon",
-        "trials-float", "trials-string", "horizon-float", "horizon-string",
-        "seed-float", "seed-string"])
+        "trials-float", "trials-string", "trials-bool", "horizon-float",
+        "horizon-string", "seed-float", "seed-string"])
 def test_decrease_rejects_bad_inputs(bad, message):
     bound, obs, lifted = certified_pipeline()
     kwargs = {"rho_prime": 1.01 * bound.rho_upper, "trials": 1, "horizon": 2}
