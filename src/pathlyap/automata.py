@@ -23,7 +23,7 @@ from .graphs import (
     _explore_subsets,
     _node_mask,
     _parts_expander,
-    _successor_steps,
+    _shared_successors,
     _word_to,
     graph_from_json,
 )
@@ -112,13 +112,17 @@ def prefix_class_automaton(alphabet, stem) -> Automaton:
 
 
 def accepts(a: Automaton, word) -> bool:
-    """Membership by breadth-first subset simulation."""
+    """Membership by breadth-first subset simulation.  A symbol outside the
+    alphabet is a ValueError wherever it appears in the word, also past
+    the point where the run dies."""
+    word = tuple(word)
     alphabet = set(a.graph.alphabet)
-    out = a.graph.out_map()
-    frontier = set(a.initial)
     for sym in word:
         if sym not in alphabet:
             raise ValueError(f"symbol {sym!r} not in alphabet")
+    out = a.graph.out_map()
+    frontier = set(a.initial)
+    for sym in word:
         frontier = {q for p in frontier for q in out.get((p, sym), ())}
         if not frontier:
             return False
@@ -136,13 +140,13 @@ def _common_alphabet(parts):
 
 
 def _parts(automata):
-    """The automata as `_explore_subsets` parts: (steps, start, finals),
-    with each part's successor steps, its initial set as the start mask and
-    its accepting set as a mask."""
-    steps = _successor_steps([a.graph for a in automata])
+    """The automata as `_explore_subsets` parts: (memos, start, finals),
+    with each part's `_Successors` memo, its initial set as the start mask
+    and its accepting set as a mask."""
+    memos = _shared_successors([a.graph for a in automata])
     start = tuple(_node_mask(a.graph, a.initial) for a in automata)
     finals = [_node_mask(a.graph, a.accepting) for a in automata]
-    return steps, start, finals
+    return memos, start, finals
 
 
 def language_includes(sub: Automaton, sup: Automaton, cap=None) -> bool:
@@ -154,9 +158,9 @@ def language_includes(sub: Automaton, sup: Automaton, cap=None) -> bool:
     """
     if sub.graph.alphabet != sup.graph.alphabet:
         raise ValueError("inclusion requires a common alphabet")
-    steps, start, (sub_final, sup_final) = _parts([sub, sup])
+    memos, start, (sub_final, sup_final) = _parts([sub, sup])
     _, hit = _explore_subsets(
-        sub.graph.alphabet, _parts_expander(steps), start,
+        sub.graph.alphabet, _parts_expander(memos), start,
         state_cap(cap),
         lambda s: s[0] & sub_final and not s[1] & sup_final,
     )
@@ -175,9 +179,9 @@ def universality_witness(automata, cap=None):
     run, which are as many as the subsets of the parts' disjoint union.
     """
     alphabet = _common_alphabet(automata)
-    steps, start, finals = _parts(automata)
+    memos, start, finals = _parts(automata)
     parent, hit = _explore_subsets(
-        alphabet, _parts_expander(steps), start,
+        alphabet, _parts_expander(memos), start,
         state_cap(cap),
         lambda s: not any(map(and_, s, finals)),
     )

@@ -166,7 +166,8 @@ def validate_covering(c, cap=None):
     over 2n parts, the members (part k) and the h-stepped members (part
     n + k), decides every pair: in each reachable state, a source whose
     part accepts keeps only the targets whose stepped part accepts too.
-    Members on equal graphs share one successor memo.
+    Members on equal graphs share one `_Successors` memo, which also gives
+    the stepped parts' start masks.
 
     The run for the first symbol also decides coverage.  Its parts 0..n-1
     are the members read from their initial sets, and breadth-first search
@@ -179,13 +180,13 @@ def validate_covering(c, cap=None):
     limit = state_cap(cap)
     names = [m.name for m in c.members]
     n = len(names)
-    steps, initial, finals = _parts([m.automaton for m in c.members])
+    memos, initial, finals = _parts([m.automaton for m in c.members])
     bits = [1 << k for k in range(n)]
-    expand = _parts_expander(steps * 2)
+    expand = _parts_expander(memos * 2)
     witness = None
     edges = []
     for i, h in enumerate(c.alphabet):
-        stepped = tuple(part[i][mask] for part, mask in zip(steps, initial))
+        stepped = tuple(memo[mask][i] for memo, mask in zip(memos, initial))
         parent, _ = _explore_subsets(
             c.alphabet, expand, initial + stepped, limit
         )

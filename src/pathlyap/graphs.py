@@ -153,32 +153,6 @@ def de_bruijn(alphabet, order: int) -> LabeledGraph:
     return LabeledGraph(alphabet, tuple(name[w] for w in words), edges)
 
 
-class _Step(dict):
-    """One graph's successors under one symbol, memoized on node masks.
-
-    A mask holds bit i for node i of the graph (in node order); looking a
-    mask up gives the mask of all its members' successors.  `succ[i]` is
-    the successor mask of node i alone.  Multi-part explorations step
-    through these: parts on equal graphs share the memo, so a mask that
-    several parts (or several runs) reach is stepped bit by bit once.
-    """
-
-    __slots__ = ("succ",)
-
-    def __init__(self, succ):
-        self.succ = succ
-        self[0] = 0
-
-    def __missing__(self, mask):
-        out, rest, succ = 0, mask, self.succ
-        while rest:
-            low = rest & -rest
-            out |= succ[low.bit_length() - 1]
-            rest ^= low
-        self[mask] = out
-        return out
-
-
 def _node_mask(g, nodes):
     """Mask of `nodes` in g: bit i stands for g.nodes[i]."""
     return sum(1 << g.nodes.index(v) for v in nodes)
@@ -194,53 +168,17 @@ def _members(items, mask):
     return out
 
 
-def _successor_steps(graphs):
-    """Per graph, one `_Step` per alphabet symbol, for multi-part
-    explorations.  Equal graphs share their steps, so every part built on
-    one graph shares one memo."""
-    shared = {}
-    steps = []
-    for g in graphs:
-        table = shared.get(g)
-        if table is None:
-            index = {v: i for i, v in enumerate(g.nodes)}
-            succ = {sym: [0] * len(g.nodes) for sym in g.alphabet}
-            for src, dst, sym in g.edges:
-                succ[sym][index[src]] |= 1 << index[dst]
-            table = shared[g] = tuple(_Step(succ[sym]) for sym in g.alphabet)
-        steps.append(table)
-    return steps
-
-
-def _parts_expander(steps):
-    """`_explore_subsets` expansion for multi-part states: a tuple of node
-    masks, one per part, where `steps[k]` is part k's `_successor_steps`
-    entry.  Each symbol maps every part's mask to its successor mask; only
-    parts with a nonempty mask are stepped, since the empty mask stays
-    empty."""
-    moves = list(zip(*steps))
-
-    def expand(state):
-        live = list(itertools.compress(range(len(state)), state))
-        out = []
-        for step in moves:
-            nxt = [0] * len(state)
-            for k in live:
-                nxt[k] = step[k][state[k]]
-            out.append(tuple(nxt))
-        return out
-
-    return expand
-
-
 def _mask_expander(g):
     """`_explore_subsets` expansion for one part on g: maps a node mask to
     its successor masks, one per symbol in alphabet order.
 
-    The successor of a mask is the OR, over its 4-bit chunks (nodes 4j to
-    4j + 3), of a 16-entry table of those nodes' successor unions, built
-    once per graph.  Every symbol's successor mask is packed into one table
-    entry, n bits per symbol, so one lookup per chunk steps every symbol.
+    The successor of a mask is the OR, over its nonzero 4-bit chunks
+    (nodes j to j + 3, j a multiple of 4), of a 16-entry table of those
+    nodes' successor unions, built once per graph.  Every symbol's
+    successor mask is packed into one table entry, n bits per symbol, so
+    one lookup per chunk steps every symbol.  Chunks are taken from the top
+    down, and each is cleared once read, so a sparse mask costs only its
+    nonzero chunks.
     """
     n = len(g.nodes)
     index = {v: i for i, v in enumerate(g.nodes)}
@@ -259,9 +197,56 @@ def _mask_expander(g):
 
     def expand(mask):
         both = 0
-        for j, table in chunks:
-            both |= table[mask >> j & 15]
+        while mask:
+            j, table = chunks[(mask.bit_length() - 1) >> 2]
+            top = mask >> j
+            both |= table[top]
+            mask ^= top << j
         return [both >> k & full for k in offsets]
+
+    return expand
+
+
+class _Successors(dict):
+    """One graph's `_mask_expander`, memoized: looking a node mask up gives
+    its successor masks, one per symbol in alphabet order.  Multi-part
+    explorations step through these, and parts on equal graphs share one,
+    so a mask that several parts (or several runs) reach is stepped once."""
+
+    __slots__ = ("expand",)
+
+    def __init__(self, g):
+        self.expand = _mask_expander(g)
+
+    def __missing__(self, mask):
+        self[mask] = out = self.expand(mask)
+        return out
+
+
+def _shared_successors(graphs):
+    """One `_Successors` memo per graph, shared by equal graphs."""
+    shared = {g: _Successors(g) for g in set(graphs)}
+    return [shared[g] for g in graphs]
+
+
+def _parts_expander(memos):
+    """`_explore_subsets` expansion for multi-part states: a tuple of node
+    masks, one per part, where `memos[k]` is part k's `_Successors`.  Only
+    parts with a nonempty mask are looked up, since the empty mask stays
+    empty.  The all-empty state gets no successors: each of them would be
+    itself, which is already discovered."""
+    width = len(memos)
+
+    def expand(state):
+        live = list(itertools.compress(range(width), state))
+        rows = [memos[k][state[k]] for k in live]
+        out = []
+        for h in range(len(rows[0]) if rows else 0):
+            nxt = [0] * width
+            for k, row in zip(live, rows):
+                nxt[k] = row[h]
+            out.append(tuple(nxt))
+        return out
 
     return expand
 
@@ -270,10 +255,13 @@ def _explore_subsets(alphabet, expand, start, limit, stop=None):
     """Breadth-first subset construction.
 
     A state is whatever `expand` steps: `expand(state)` returns its
-    successor states, one per symbol of `alphabet`, in alphabet order.
-    One-part searches use a single node mask (`_mask_expander`); several
-    parts, each a graph or automaton read from its own start subset, use a
-    tuple of masks (`_parts_expander`).  Symbols are tried in alphabet
+    successor states, one per symbol of `alphabet`, in alphabet order, or
+    none for a state that steps only to itself.  Every state is made of
+    node masks stepped by one successor table per graph, `_mask_expander`.
+    One-part searches use a single mask; several parts, each a graph or
+    automaton read from its own start subset, use a tuple of masks
+    (`_parts_expander`), each part stepped through its graph's shared
+    `_Successors` memo over that table.  Symbols are tried in alphabet
     order, so the parent links spell the shortest word reaching each
     state, ties broken lexicographically.  Exploration ends at the first
     state (start included) for which `stop` holds; that state is not
@@ -319,7 +307,8 @@ def find_unreadable_word(g: LabeledGraph, cap=None):
     """Shortest word with no reading path in g, or None if all words read.
 
     Runs `_explore_subsets` on one node mask, g's full node set, stepped by
-    `_mask_expander`, stopping at the empty mask: the symbols consumed to
+    g's successor table `_mask_expander` with no memo (each mask is
+    expanded once), stopping at the empty mask: the symbols consumed to
     reach it form an unreadable word.  The word is returned most recent
     symbol first (reverse of the order the symbols were consumed in),
     matching the memory-word convention used by the automata layer; reverse

@@ -62,6 +62,8 @@ class SwitchedLinearSystem(Record):
             raise ValueError("alphabet must be nonempty")
         if len(set(alphabet)) != len(alphabet) or any(not s for s in alphabet):
             raise ValueError("alphabet symbols must be distinct and nonempty")
+        if isinstance(dimension, bool):
+            raise TypeError("dimension must be an integer, not a bool")
         n = operator.index(dimension)
         if n < 1:
             raise ValueError("dimension must be positive")

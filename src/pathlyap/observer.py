@@ -25,8 +25,8 @@ from .errors import (
 )
 from .graphs import (
     LabeledGraph,
+    _Successors,
     _explore_subsets,
-    _mask_expander,
     _members,
     _word_to,
     graph_from_json,
@@ -82,23 +82,19 @@ def observer_graph(g, cap=None):
     """Determinize ``g`` by subset construction from the full node set.
 
     Runs `graphs._explore_subsets` on one node mask, g's full node set,
-    stepped by `graphs._mask_expander`, stopping at the empty mask.  The
-    successors of every expanded mask are kept for the edges, and node
-    masks are turned back into node names only for the subsets found.
-    Raises NotPathCompleteError (with the offending word, most recent
-    symbol first) when an empty subset is reached, and ResourceLimitError
-    when the number of discovered subsets exceeds the cap (default 2^20,
+    stepped through a `graphs._Successors` memo of g's successor tables,
+    stopping at the empty mask.  The memo then holds the successors of
+    every expanded mask, which are the edges, and node masks are turned
+    back into node names only for the subsets found.  Raises
+    NotPathCompleteError (with the offending word, most recent symbol
+    first) when an empty subset is reached, and ResourceLimitError when
+    the number of discovered subsets exceeds the cap (default 2^20,
     env-overridable).
     """
-    step = _mask_expander(g)
-    successors = {}
-
-    def expand(mask):
-        successors[mask] = out = step(mask)
-        return out
-
+    successors = _Successors(g)
     parent, hit = _explore_subsets(
-        g.alphabet, expand, (1 << len(g.nodes)) - 1, state_cap(cap), not_
+        g.alphabet, successors.__getitem__, (1 << len(g.nodes)) - 1,
+        state_cap(cap), not_
     )
     if hit is not None:
         raise NotPathCompleteError(_word_to(parent, hit))

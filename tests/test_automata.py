@@ -71,8 +71,11 @@ def test_prefix_class_membership_matches_closed_form():
 
 
 def test_accepts_validates_symbols():
-    with pytest.raises(ValueError):
-        accepts(chain("a"), ("z",))
+    """A foreign symbol is refused wherever it appears, also after the run
+    on the stem "a" has died at "b"."""
+    for word in [("z",), ("a", "z"), ("b", "z")]:
+        with pytest.raises(ValueError, match="not in alphabet"):
+            accepts(chain("a"), word)
 
 
 def test_empty_accepting_rejects_everything():

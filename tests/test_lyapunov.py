@@ -68,9 +68,13 @@ def test_system_rejects_bad_shapes():
 
 
 def test_system_dimension_is_not_truncated():
-    # 2.9 read through int() would be a 2-dimensional system
+    # 2.9 read through int() would be a 2-dimensional system, True a
+    # 1-dimensional one
+    for bad in (2.9, True):
+        with pytest.raises(TypeError):
+            SwitchedLinearSystem(AB, bad, {"a": A_MODE, "b": B_MODE})
     with pytest.raises(TypeError):
-        SwitchedLinearSystem(AB, 2.9, {"a": A_MODE, "b": B_MODE})
+        SwitchedLinearSystem(("a",), True, {"a": np.eye(1)})
     assert SwitchedLinearSystem(AB, np.int64(2), {"a": A_MODE, "b": B_MODE}
                                 ).dimension == 2
 

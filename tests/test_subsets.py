@@ -1,11 +1,13 @@
 """The shared subset exploration, checked through every caller against the
 brute-force oracles, and its cap thresholds pinned.
 
-`graphs._explore_subsets` steps one node mask through 4-bit successor
-tables in the one-part searches, and a tuple of node masks, one per part
-(one graph or automaton read from its own start set), in the multi-part
-ones, where parts on equal graphs share one successor memo.  The tests
-below check the tables against the earlier memoized search and mix parts
+Every subset search steps node masks through one successor table per
+graph, `graphs._mask_expander`: each nonzero 4-bit chunk of a mask indexes
+a 16-entry table of its nodes' successors.  The one-part searches step a
+single mask; the multi-part ones step a tuple of masks, one per part (one
+graph or automaton read from its own start set), through a memo over the
+table that parts on equal graphs share.  The tests below check the tables
+against bit-by-bit unions and the earlier memoized search, and mix parts
 on one shared graph, on equal but distinct graphs, and on distinct graphs.
 """
 
@@ -184,6 +186,34 @@ def test_successor_tables_step_every_mask():
                 assert expand(mask) == union, (g, mask)
 
 
+def test_successor_tables_step_large_masks():
+    """On graphs of 100 to 300 nodes, masks with a few set bits (most
+    chunks skipped), half their bits set, and every bit set step to the
+    bit-by-bit union of their members' successors, through the table and
+    through the shared memo."""
+    rng = np.random.default_rng(107)
+    for n in (100, 173, 256, 300):
+        g = sparse_graph(rng, n, int(rng.integers(1, 4)))
+        succ = {h: [0] * n for h in g.alphabet}
+        for p, q, h in g.edges:
+            succ[h][g.nodes.index(p)] |= 1 << g.nodes.index(q)
+        expand = _mask_expander(g)
+        memo = graphs._Successors(g)
+        masks = [(1 << n) - 1, 1 << (n - 1), 1]
+        for density in (0.01, 0.05, 0.5):
+            for _ in range(20):
+                masks.append(sum(1 << int(i) for i in
+                                 np.flatnonzero(rng.random(n) < density)))
+        for mask in masks:
+            union = [0] * len(g.alphabet)
+            for i in range(n):
+                if mask >> i & 1:
+                    for k, h in enumerate(g.alphabet):
+                        union[k] |= succ[h][i]
+            assert expand(mask) == union, (n, mask)
+            assert memo[mask] == union, (n, mask)
+
+
 def benchmark_bases():
     """The covering benchmark's seed-1 observer inputs: 2-symbol De Bruijn 5
     and 3-symbol De Bruijn 3, nodes renamed and listed in a seeded order."""
@@ -308,10 +338,12 @@ def test_validation_coverage_matches_universality_witness():
     lambda: CoveringFamily(AB, mixed_family().members[:-1]),
 ], ids=["covering", "not-covering"])
 def test_validation_explores_once_per_symbol(monkeypatch, make):
-    """A validation builds the members' successor steps once and runs one
-    subset exploration per symbol, whether or not the family covers."""
+    """A validation builds the members' successor memos once, one successor
+    table per distinct member graph, and runs one subset exploration per
+    symbol, whether or not the family covers."""
     fam = make()
-    calls = {"_explore_subsets": 0, "_successor_steps": 0}
+    calls = {"_explore_subsets": 0, "_shared_successors": 0,
+             "_mask_expander": 0}
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -325,8 +357,9 @@ def test_validation_explores_once_per_symbol(monkeypatch, make):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapper)
     validate_covering(fam)
+    distinct = len({m.automaton.graph for m in fam.members})
     assert calls == {"_explore_subsets": len(fam.alphabet),
-                     "_successor_steps": 1}
+                     "_shared_successors": 1, "_mask_expander": distinct}
 
 
 @pytest.mark.parametrize("stems", [
