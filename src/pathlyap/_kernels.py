@@ -53,11 +53,19 @@ back-off, and starting at its weight skips the stages already walked.
 :func:`pathlyap.sdp.solve_margin` also shifts such a point to start a
 problem at a nearby rate.
 
+A caller that needs a certificate, not the optimum, passes ``certify``:
+the solve then stops at the end of the first centred stage with
+``N mu <= z[-1]``, where the optimum is at most ``z[-1] + N mu <= 2 z[-1]``,
+so the margin is at least half the optimum.  "Centred" asks there also
+that the scale-free Newton decrement, the decrement divided by mu, is at
+most :data:`CERTIFY_DECREMENT`: the stage test bounds the decrement itself,
+which at a small mu admits points far from the central path.
+
 Every solve walks one schedule: the weight shrinks by :data:`MU_SHRINK`
 per stage and its last stage is clamped to exactly :data:`MU_MIN`.  A
-caller that passes ``decide`` walks the same stages with the early exits
-above.  Wherever it starts, a solve whose last stage is centred ends
-within ``N MU_MIN`` of the optimum.
+caller that passes ``decide`` or ``certify`` walks the same stages with
+the early exits above.  Wherever it starts, a solve whose last stage is
+centred ends within ``N MU_MIN`` of the optimum.
 """
 
 import numpy as np
@@ -75,6 +83,9 @@ MIN_STEP = 1e-14
 # how far past the diagonal bound a line-search step must lie to be skipped
 # without a factorization, far above the bound's rounding error
 SKIP_SLACK = 1e-3
+# largest scale-free Newton decrement (decrement / mu) of a stage end that
+# the certifying stop trusts as centred
+CERTIFY_DECREMENT = 1e-3
 
 
 def _factor(s):
@@ -91,7 +102,7 @@ def _factor(s):
     return chol, value
 
 
-def barrier_solve(c0, local, index, z0, mu0, decide=None):
+def barrier_solve(c0, local, index, z0, mu0, decide=None, certify=False):
     """Damped-Newton path following for max z[-1] s.t. all blocks PD.
 
     c0 is the (K, n, n) constant stack, local the (K, w, n, n) directions
@@ -113,6 +124,10 @@ def barrier_solve(c0, local, index, z0, mu0, decide=None):
     (feasible), or at the end of a stage whose Newton decrement converged
     with z[-1] + K n mu < decide (infeasible); a stage ended by a stalled
     line search decides nothing.  Either exit returns status 0.
+
+    With `certify`, the solve stops with status 0 at the end of the first
+    centred stage with K n mu <= z[-1] and decrement / mu at most
+    :data:`CERTIFY_DECREMENT`: z[-1] is then at least half the optimum.
     """
     count, width, n, _ = local.shape
     m1 = len(z0)
@@ -193,6 +208,9 @@ def barrier_solve(c0, local, index, z0, mu0, decide=None):
                 return z, iterations, 0, mu
         status = 0 if converged else 1
         if decide is not None and centred and z[-1] + gap * mu < decide:
+            return z, iterations, 0, mu
+        if (certify and centred and gap * mu <= z[-1]
+                and decrement <= CERTIFY_DECREMENT * mu):
             return z, iterations, 0, mu
         if mu == MU_MIN:
             break

@@ -12,8 +12,8 @@ numpy, and ``jsr upper`` does not load the covering layer.  The
 package's records are plain ``__slots__`` classes over
 :class:`pathlyap.errors.Record`, so no command loads the standard
 library's record decorator or the ``inspect`` module it imports.  The
-parser registers every command with its help, but a process attaches
-arguments only to the command it runs.
+parser registers every command with its help, but a process builds only
+the parsers of the command it runs: the root, its group and its leaf.
 
 Caps, from ``--cap`` or from the ``PATHLYAP_STATE_CAP`` environment
 variable, must be positive integers; any other value exits 2.
@@ -311,18 +311,38 @@ def _cmd_decrease_check(args):
 # parser
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that adds its pending arguments when it first
-    parses: a leaf's arguments are built only in the process that runs
-    that leaf."""
+class _Commands(dict):
+    """One level of subcommands: each name maps to its parser, built on
+    first lookup.
 
-    _pending = ()
+    argparse checks and lists a subparsers action's names through its
+    `choices` and looks a name up in its parser map only to run that
+    command, so this one mapping serves as both.  Each command is
+    registered with its name, its help line and a `fill` that sets up its
+    parser; the parser is built and filled when argparse first looks the
+    name up.  A process thus builds only the parsers on the path its
+    command line names, and a group's fill registers its own commands the
+    same way.
+    """
 
-    def parse_known_args(self, args=None, namespace=None):
-        for flags, options in self._pending:
-            self.add_argument(*flags, **options)
-        self._pending = ()
-        return super().parse_known_args(args, namespace)
+    def __init__(self, parser, dest, commands):
+        super().__init__()
+        self.prog = parser.prog
+        action = parser.add_subparsers(dest=dest, required=True)
+        action.choices = action._name_parser_map = self
+        for name, help_text, fill in commands:
+            action._choices_actions.append(
+                action._ChoicesPseudoAction(name, (), help_text))
+            dict.__setitem__(self, name, fill)
+
+    def __getitem__(self, name):
+        entry = super().__getitem__(name)
+        if not isinstance(entry, argparse.ArgumentParser):
+            parser = argparse.ArgumentParser(prog=f"{self.prog} {name}")
+            entry(name, parser)
+            dict.__setitem__(self, name, parser)
+            entry = parser
+        return entry
 
 
 def _arg(*flags, **options):
@@ -337,102 +357,105 @@ _OUTPUT_ARGS = (
 )
 
 
-def _leaf(group, name, handler, help_text, *arguments):
-    p = group.add_parser(name, help=help_text)
-    p.set_defaults(handler=handler)
-    p._pending = _OUTPUT_ARGS + arguments
+def _leaf(name, help_text, handler, *arguments):
+    def fill(_, parser):
+        parser.set_defaults(handler=handler)
+        for flags, options in _OUTPUT_ARGS + arguments:
+            parser.add_argument(*flags, **options)
+
+    return name, help_text, fill
 
 
-def _group(sub, name, help_text):
-    return sub.add_parser(name, help=help_text).add_subparsers(
-        dest=f"{name}_command", required=True)
+def _group(name, help_text, *commands):
+    def fill(group, parser):
+        # the root and group parsers take no option but -h, so the leading
+        # tokens of a command line name its leaf
+        _Commands(parser, f"{group}_command", commands)
+
+    return name, help_text, fill
 
 
-def build_parser():
-    """The `pathlyap` parser.  Every group and leaf is registered with its
-    help.  The root and group parsers take no option but -h, so the leading
-    tokens of a command line name its leaf, and a leaf's own arguments are
-    added only when that leaf parses."""
-    parser = _Parser(
-        prog="pathlyap",
-        description="Path-complete quadratic certificates and growth-rate "
-                    "bounds for switched linear systems.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gsub = _group(sub, "graph", "labeled graph tools")
-    _leaf(gsub, "check", _cmd_graph_check,
-          "check path-completeness, completeness, determinism",
-          _arg("graph", help="graph JSON file"),
-          _arg("--path-complete", action="store_true", dest="path_complete"),
-          _arg("--complete", action="store_true"),
-          _arg("--deterministic", action="store_true"),
-          _arg("--cap", type=int, default=None,
-               help="state cap for the unreadable-word search"))
-    _leaf(gsub, "debruijn", _cmd_graph_debruijn, "generate a De Bruijn graph",
-          _arg("-a", "--alphabet", required=True,
-               help="comma separated symbols"),
-          _arg("-k", "--order", type=int, required=True))
-    _leaf(gsub, "dual", _cmd_graph_dual, "reverse every edge",
-          _arg("graph", help="graph JSON file"))
-
-    osub = _group(sub, "observer", "subset-construction tools")
-    _leaf(osub, "build", _cmd_observer_build,
-          "run the subset construction on a path-complete graph",
-          _arg("graph", help="graph JSON file"),
-          _arg("--cap", type=int, default=None))
-    _leaf(osub, "core", _cmd_observer_core,
-          "extract the unique terminal strongly connected part",
-          _arg("observer", help="observer JSON file"))
-
-    csub = _group(sub, "covering", "language covering tools")
-    _leaf(csub, "validate", _cmd_covering_validate,
-          "check coverage of all words and prepend closure",
-          _arg("covering", help="covering JSON file"))
-    _leaf(csub, "to-graph", _cmd_covering_to_graph,
-          "build the graph whose nodes are the family members",
-          _arg("covering", help="covering JSON file"))
-    _leaf(csub, "from-graph", _cmd_covering_from_graph,
-          "read a covering family off an observer",
-          _arg("observer", help="observer JSON file"))
-
-    jsub = _group(sub, "jsr", "growth rate bounds")
-    _leaf(jsub, "upper", _cmd_jsr_upper,
-          "certified upper bound by bisection over margin programs",
-          _arg("--graph", required=True),
-          _arg("--system", required=True),
-          _arg("--tol", type=float, default=1e-4),
-          _arg("--cap", type=int, default=None,
-               help="solver unknown-count cap"),
-          _arg("--allow-incomplete", action="store_true",
-               help="proceed (with a warning) on non-path-complete "
-                    "graphs"))
-    _leaf(jsub, "lower", _cmd_jsr_lower,
-          "exhaustive lower bound over bounded-length words",
-          _arg("--system", required=True),
-          _arg("--max-len", type=int, required=True, dest="max_len"),
-          _arg("--cap", type=int, default=None))
-
-    certsub = _group(sub, "certificate", "certificate tools")
-    _leaf(certsub, "verify", _cmd_certificate_verify,
-          "independent eigenvalue check of a certificate",
-          _arg("--certificate", required=True),
-          _arg("--system", required=True),
-          _arg("--rho-prime", type=float, default=None, dest="rho_prime"))
-    _leaf(certsub, "lift", _cmd_certificate_lift,
-          "attach subset maxima to observer nodes",
-          _arg("--certificate", required=True),
-          _arg("--observer", required=True))
-
-    _leaf(sub, "simulate", _cmd_simulate,
-          "iterate the system along a switching word",
+_COMMANDS = (
+    _group(
+        "graph", "labeled graph tools",
+        _leaf("check", "check path-completeness, completeness, determinism",
+              _cmd_graph_check,
+              _arg("graph", help="graph JSON file"),
+              _arg("--path-complete", action="store_true",
+                   dest="path_complete"),
+              _arg("--complete", action="store_true"),
+              _arg("--deterministic", action="store_true"),
+              _arg("--cap", type=int, default=None,
+                   help="state cap for the unreadable-word search")),
+        _leaf("debruijn", "generate a De Bruijn graph", _cmd_graph_debruijn,
+              _arg("-a", "--alphabet", required=True,
+                   help="comma separated symbols"),
+              _arg("-k", "--order", type=int, required=True)),
+        _leaf("dual", "reverse every edge", _cmd_graph_dual,
+              _arg("graph", help="graph JSON file")),
+    ),
+    _group(
+        "observer", "subset-construction tools",
+        _leaf("build", "run the subset construction on a path-complete graph",
+              _cmd_observer_build,
+              _arg("graph", help="graph JSON file"),
+              _arg("--cap", type=int, default=None)),
+        _leaf("core", "extract the unique terminal strongly connected part",
+              _cmd_observer_core,
+              _arg("observer", help="observer JSON file")),
+    ),
+    _group(
+        "covering", "language covering tools",
+        _leaf("validate", "check coverage of all words and prepend closure",
+              _cmd_covering_validate,
+              _arg("covering", help="covering JSON file")),
+        _leaf("to-graph", "build the graph whose nodes are the family members",
+              _cmd_covering_to_graph,
+              _arg("covering", help="covering JSON file")),
+        _leaf("from-graph", "read a covering family off an observer",
+              _cmd_covering_from_graph,
+              _arg("observer", help="observer JSON file")),
+    ),
+    _group(
+        "jsr", "growth rate bounds",
+        _leaf("upper", "certified upper bound by bisection over margin "
+                       "programs",
+              _cmd_jsr_upper,
+              _arg("--graph", required=True),
+              _arg("--system", required=True),
+              _arg("--tol", type=float, default=1e-4),
+              _arg("--cap", type=int, default=None,
+                   help="solver unknown-count cap"),
+              _arg("--allow-incomplete", action="store_true",
+                   help="proceed (with a warning) on non-path-complete "
+                        "graphs")),
+        _leaf("lower", "exhaustive lower bound over bounded-length words",
+              _cmd_jsr_lower,
+              _arg("--system", required=True),
+              _arg("--max-len", type=int, required=True, dest="max_len"),
+              _arg("--cap", type=int, default=None)),
+    ),
+    _group(
+        "certificate", "certificate tools",
+        _leaf("verify", "independent eigenvalue check of a certificate",
+              _cmd_certificate_verify,
+              _arg("--certificate", required=True),
+              _arg("--system", required=True),
+              _arg("--rho-prime", type=float, default=None,
+                   dest="rho_prime")),
+        _leaf("lift", "attach subset maxima to observer nodes",
+              _cmd_certificate_lift,
+              _arg("--certificate", required=True),
+              _arg("--observer", required=True)),
+    ),
+    _leaf("simulate", "iterate the system along a switching word",
+          _cmd_simulate,
           _arg("--system", required=True),
           _arg("--word", default="",
                help="comma separated symbols in time order"),
-          _arg("--x0", required=True, help="comma separated start state"))
-
-    _leaf(sub, "decrease-check", _cmd_decrease_check,
-          "sampled decrease check of a lifted certificate",
+          _arg("--x0", required=True, help="comma separated start state")),
+    _leaf("decrease-check", "sampled decrease check of a lifted certificate",
+          _cmd_decrease_check,
           _arg("--certificate", required=True),
           _arg("--observer", required=True),
           _arg("--system", required=True),
@@ -442,8 +465,20 @@ def build_parser():
           _arg("--trials", type=int, default=100),
           _arg("--horizon", type=int, default=20),
           _arg("--seed", type=int, default=None),
-          _arg("--tolerance", type=float, default=1e-9))
+          _arg("--tolerance", type=float, default=1e-9)),
+)
 
+
+def build_parser():
+    """The `pathlyap` parser.  Every group and leaf is registered with its
+    help, and its parser is built only when a command line names it
+    (:class:`_Commands`)."""
+    parser = argparse.ArgumentParser(
+        prog="pathlyap",
+        description="Path-complete quadratic certificates and growth-rate "
+                    "bounds for switched linear systems.",
+    )
+    _Commands(parser, "command", _COMMANDS)
     return parser
 
 

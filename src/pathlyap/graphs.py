@@ -168,6 +168,11 @@ def _members(items, mask):
     return out
 
 
+# most bytes a successor table may take, about |alphabet| n^2 / 2 for n
+# nodes: two-symbol De Bruijn 15 (2^15 nodes) fits, De Bruijn 16 does not
+_TABLE_BYTES = 1 << 30
+
+
 def _mask_expander(g):
     """`_explore_subsets` expansion for one part on g: maps a node mask to
     its successor masks, one per symbol in alphabet order.
@@ -178,9 +183,18 @@ def _mask_expander(g):
     successor mask is packed into one table entry, n bits per symbol, so
     one lookup per chunk steps every symbol.  Chunks are taken from the top
     down, and each is cleared once read, so a sparse mask costs only its
-    nonzero chunks.
+    nonzero chunks.  The n / 4 tables hold 16 entries of |alphabet| n bits
+    each, about |alphabet| n^2 / 2 bytes; a graph whose tables would take
+    more than :data:`_TABLE_BYTES` raises ResourceLimitError before any is
+    built.
     """
     n = len(g.nodes)
+    size = len(g.alphabet) * n * n // 2
+    if size > _TABLE_BYTES:
+        raise ResourceLimitError(
+            f"successor table of {n} nodes needs about {size} bytes, above "
+            f"the budget of {_TABLE_BYTES} bytes"
+        )
     index = {v: i for i, v in enumerate(g.nodes)}
     offset = {sym: h * n for h, sym in enumerate(g.alphabet)}
     packed = [0] * n

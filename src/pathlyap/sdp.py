@@ -16,10 +16,10 @@ that but the rho^2 terms is built once per graph and system
 margin is always recomputed from the returned matrices with an
 eigenvalue solve, never trusted from the optimizer state.
 
-``jsr_upper_bound`` brackets the certifiable growth rate by bisection on
-rho, probing feasibility of the margin program, built once per call, and
-returns the smallest feasible probe together with its independently
-re-verified certificate.
+``jsr_upper_bound`` brackets the certifiable growth rate by probing
+feasibility of the margin program, built once per call, at rates between
+two ends, and returns the smallest feasible probe together with its
+independently re-verified certificate.
 Both ends of the bracket hold by construction.  The upper end starts where
 the identity assignment (the cold start) has a margin of at least twice
 :data:`FEASIBILITY_THRESHOLD`, so its probe is feasible, and it only moves
@@ -28,23 +28,32 @@ of a short product, rho(A_w)^(1/|w|) over every word up to the longest
 length whose word count stays within :data:`_ANCHOR_WORDS`, of which only
 the Lyndon words are eigensolved.  No rate at or below the joint spectral
 radius has a certificate, so the anchor is infeasible on every graph
-without a probe.  The bracket is searched in log scale above the anchor
-(:func:`_log_midpoint`), so a bound that sits on a short product takes a
-handful of probes.  Every solve walks the kernel's one barrier schedule
+without a probe.  Which end a probe moves is decided by the sign of its
+margin against the threshold alone; where it lands is not
+(:class:`_Bracket`).  Until a probe fails, the bracket is split in log
+scale above the anchor (:func:`_log_midpoint`), so a bound that sits on a
+short product takes a handful of probes.  After that each probe goes to
+the root of the chord, in rho^2, through the two ends' margins, with the
+Illinois rule and a midpoint whenever two chord probes in a row fail to
+halve the bracket.  Every solve walks the kernel's one barrier schedule
 (:data:`pathlyap._kernels.MU_SHRINK` per stage, the last stage clamped to
-:data:`pathlyap._kernels.MU_MIN`).  Bisection reads only the sign of each
-probe's margin, so its probes run ``solve_margin`` in sign-only mode, which
-walks the same stages but stops once the kernel has certified which side
-of :data:`FEASIBILITY_THRESHOLD` the optimum lies on.  Every probe after the
-first resumes from the earlier probe nearest to it in rate: it starts at
-that probe's point and barrier weight, with the margin unknown lowered just
-enough to be strictly feasible at the new rate, so it skips the stages of
-the central path that probe already walked (``solve_margin``'s `start`).  A
-start moves where a probe is decided, not what it decides.  The smallest
-feasible probe is then solved once more in full, resumed the same way from
-its own probe, and the certificate comes from that solve.  It ends at
-weight exactly MU_MIN, so when its last stage is centred its margin is
-within the central-path gap K n MU_MIN of the optimum.
+:data:`pathlyap._kernels.MU_MIN`).  The probes run ``solve_margin`` in
+sign-only mode, which walks the same stages but stops once the kernel has
+certified which side of :data:`FEASIBILITY_THRESHOLD` the optimum lies on.
+Every probe after the first resumes from the earlier probe nearest to it in
+rate: it starts at that probe's point and barrier weight, with the margin
+unknown lowered just enough to be strictly feasible at the new rate, so it
+skips the stages of the central path that probe already walked
+(``solve_margin``'s `start`).  A start moves where a probe is decided, not
+what it decides; after the first failure the decided margins also place
+the next probe.  The smallest feasible probe is then solved once more,
+resumed the same way from its own probe, and the certificate comes from
+that solve.  It is a certifying solve: it stops at the first centred stage
+whose weight mu has K n mu at most its margin unknown t (K blocks of order
+n), where the optimum lies within the central-path gap K n mu of t, so the
+certificate's margin is at least half the optimum; a solve that no stage
+stops ends at MU_MIN like a full one.  The bound is the probe's rate
+either way: the stop moves the certificate's margin, not the bound.
 """
 
 import math
@@ -171,7 +180,8 @@ class _MarginProgram:
         return self
 
 
-def solve_margin(problem, unknown_cap=None, *, sign_only=False, start=None):
+def solve_margin(problem, unknown_cap=None, *, sign_only=False, start=None,
+                 _certify=False):
     """Maximize the common slack t of all blocks of `problem`.
 
     Each P_s is I + sum_j z_j B_j over the trace-zero basis B, so the
@@ -194,7 +204,11 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False, start=None):
     kernel stops once the verdict is certified.  The returned margin is
     then recomputed at that point, so its sign against the threshold is
     the verdict but its value is not the optimum.  A solve that no stage
-    decides runs to the end.
+    decides runs to the end.  `_certify` is internal to
+    :func:`jsr_upper_bound`'s certifying solve: the kernel then stops at
+    the first centred stage of weight mu with K n mu at most the margin
+    unknown, so the margin is at least half the optimum, not within
+    K n MU_MIN of it.
 
     `start`, a :class:`MarginSolution` on the same graph and system at
     any rate rho_s, starts the kernel at that solution's point and barrier
@@ -237,6 +251,7 @@ def solve_margin(problem, unknown_cap=None, *, sign_only=False, start=None):
     z, iterations, code, weight = barrier_solve(
         c0, program.local, program.index, z0, mu0,
         decide=FEASIBILITY_THRESHOLD if sign_only else None,
+        certify=_certify,
     )
 
     basis = program.basis
@@ -291,8 +306,78 @@ def _log_midpoint(lo, hi, anchor, tol):
     return mid if lo < mid < hi else 0.5 * (lo + hi)
 
 
+def _chord_root(lo, below, hi, above, tol):
+    """The next probe in (lo, hi) from the values below <= 0 < above of its
+    ends: where the chord through (lo^2, below) and (hi^2, above) crosses
+    zero, in rho^2 because every edge block is affine in rho^2, kept at
+    least max(0.1 (hi - lo), tol / 2) inside each end."""
+    square = lo * lo + (hi * hi - lo * lo) * (below / (below - above))
+    inset = max(0.1 * (hi - lo), 0.5 * tol)
+    return min(max(math.sqrt(square), lo + inset), hi - inset)
+
+
+class _Bracket:
+    """The bracket (lo, hi] of a bound and the placement of its probes.
+
+    lo is infeasible (the anchor, then the largest infeasible probe) and hi
+    is feasible (the smallest feasible probe).  A probed end carries its
+    value, the probe's recomputed margin less :data:`FEASIBILITY_THRESHOLD`;
+    the anchor carries none.  Until a probe fails, :meth:`next` splits the
+    bracket in log scale above the anchor (:func:`_log_midpoint`), so a
+    bound that sits on its anchor probes the same rates as plain log-scale
+    bisection.  From then on it probes the root of the chord between the
+    ends (:func:`_chord_root`), with the Illinois rule (Dowell & Jarratt,
+    BIT 1971): an end that stays put twice in a row has its value halved,
+    so the chord does not keep landing beside the other end.  If two chord
+    probes in a row leave the bracket more than half as wide as before
+    them, the next probe is the midpoint.  So after the first infeasible
+    probe the bracket at least halves over each two chord probes, or two
+    and the midpoint: any four probes in a row halve it, and a bracket of
+    width w then takes at most 3 ceil(log2(w / tol)) more probes.  Only
+    where a probe lands depends on the values; which end it moves is its
+    verdict alone.
+    """
+
+    def __init__(self, anchor, hi, margin, tol):
+        self.anchor, self.tol = anchor, tol
+        self.lo, self.hi = anchor, hi
+        self.below, self.above = None, margin - FEASIBILITY_THRESHOLD
+        # the end the last probe moved, and the chord probes since the
+        # bracket's width was noted (at most two)
+        self.moved, self.chords, self.width = None, 0, 0.0
+
+    def next(self):
+        """The next probe's rate, strictly inside the bracket."""
+        lo, hi = self.lo, self.hi
+        if self.below is None:
+            return _log_midpoint(lo, hi, self.anchor, self.tol)
+        if self.chords == 2 and hi - lo > 0.5 * self.width:
+            self.chords = 0
+            return 0.5 * (lo + hi)
+        if self.chords != 1:
+            self.width, self.chords = hi - lo, 0
+        self.chords += 1
+        return _chord_root(lo, self.below, hi, self.above, self.tol)
+
+    def update(self, rate, margin):
+        """Move the end that the probe at `rate` decides; True when it is
+        feasible (margin above the threshold) and so the new hi."""
+        value = margin - FEASIBILITY_THRESHOLD
+        feasible = margin > FEASIBILITY_THRESHOLD
+        if feasible:
+            self.hi, self.above = rate, value
+            if self.moved == "hi" and self.below is not None:
+                self.below *= 0.5
+        else:
+            self.lo, self.below = rate, value
+            if self.moved == "lo":
+                self.above *= 0.5
+        self.moved = "hi" if feasible else "lo"
+        return feasible
+
+
 class JsrBoundResult(Record):
-    """Certified growth-rate upper bound with its bisection history.
+    """Certified growth-rate upper bound with its probe history.
 
     trace lists every probed (rho, margin) pair in probe order; the bound
     is the smallest probed rho whose margin cleared the feasibility
@@ -301,12 +386,13 @@ class JsrBoundResult(Record):
     infeasible without being probed.  A trace margin is recomputed at the
     point where its probe was decided, which depends on the earlier probe
     it resumed from: its sign against the threshold is the verdict, and it
-    is not the optimum.  certificate comes from a full
-    solve at the bound, resumed from the point where the bound's probe
-    stopped, re-verified.  That solve ends at barrier weight exactly
-    :data:`pathlyap._kernels.MU_MIN`, so when its last stage is centred
-    its margin is within the central-path gap K n MU_MIN (K blocks of
-    order n) of the optimum.
+    is not the optimum; after the first infeasible probe it also places the
+    next probe.  certificate comes from a certifying solve at the bound,
+    resumed from the point where the bound's probe stopped, and
+    re-verified.  That solve ends at the first centred stage whose
+    central-path gap K n mu (K blocks of order n) is at most its margin
+    unknown, so the certificate's margin is at least half the optimum at
+    the bound, or at MU_MIN like a full solve if no stage meets that.
     """
 
     __slots__ = ("rho_upper", "certificate", "trace", "tolerance")
@@ -324,30 +410,32 @@ class JsrBoundResult(Record):
 
 def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
                     unknown_cap=None):
-    """Bisect for the smallest rho whose margin program is feasible on `graph`.
+    """Bracket the smallest rho whose margin program is feasible on `graph`.
 
     Seeds: from below, the anchor, the largest rho(A_w)^(1/|w|) over all
     words of up to L symbols, with L the longest length whose words number
     at most :data:`_ANCHOR_WORDS` (8 for two modes, 5 for three, 1 for one
     mode); :func:`pathlyap.lyapunov.product_growth` eigensolves only their
     Lyndon words (71 for two modes, 80 for three).  No rate at or below
-    the joint spectral radius can be certified, so it needs no probe.  From above, max(1.01 ||A||, (||A||^2 +
-    2 FEASIBILITY_THRESHOLD)^(1/2)) with ||A|| the largest single-mode
-    2-norm: there the identity assignment has margin min(1, rho^2 -
-    ||A||^2), at least twice the threshold, so this seed is feasible also
-    for tiny or zero modes, and its probe failing means the solver broke
-    down.  The upper end only moves onto feasible probes, so it is the
-    bound.  Probes split the bracket in log scale above the
-    anchor (:func:`_log_midpoint`) until it is narrower than `tol`, so the
-    returned bound is within `tol` of the largest infeasible rate, probed or
-    the anchor.  Each probe after the first starts from the earlier probe
-    nearest in rate (`start=` of :func:`solve_margin`), or from the cold
-    start if the kernel refuses that shifted point, which only rounding can
-    cause.  The bound's probe is then solved in full, resumed from where it
-    stopped, for the certificate.  Every solve of the call runs on one
-    margin program, built at the first probe and posed at each probe's
-    rate; each probe still assembles its own LmiProblem, which checks the
-    rate.
+    the joint spectral radius can be certified, so it needs no probe.  From
+    above, max(1.01 ||A||, (||A||^2 + 2 FEASIBILITY_THRESHOLD)^(1/2)) with
+    ||A|| the largest single-mode 2-norm: there the identity assignment has
+    margin min(1, rho^2 - ||A||^2), at least twice the threshold, so this
+    seed is feasible also for tiny or zero modes, and its probe failing
+    means the solver broke down.  The upper end only moves onto feasible
+    probes, so it is the bound.  Probes narrow the bracket
+    (:class:`_Bracket`: log scale above the anchor until a probe fails,
+    then chord roots through the ends' margins, safeguarded by midpoints)
+    until it is narrower than `tol`, so the returned bound is within `tol`
+    of the largest infeasible rate, probed or the anchor.  Each probe after
+    the first starts from the earlier probe nearest in rate (`start=` of
+    :func:`solve_margin`), or from the cold start if the kernel refuses
+    that shifted point, which only rounding can cause.  The bound's probe
+    is then solved once more, resumed from where it stopped, by a
+    certifying solve that ends at half the optimum, and its certificate is
+    verified.  Every solve of the call runs on one margin program, built at
+    the first probe and posed at each probe's rate; each probe still
+    assembles its own LmiProblem, which checks the rate.
 
     `unknown_cap` is checked first, and must be a positive integer.  Raises
     NotPathCompleteError on graphs with unreadable words unless
@@ -373,15 +461,14 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
 
     solutions = []
 
-    def solved(problem, start, sign_only=False):
+    def solved(problem, start, **mode):
         # every solve poses the one program at its problem's rate
-        sol = solve_margin(program.pose(problem), sign_only=sign_only,
-                           start=start)
+        sol = solve_margin(program.pose(problem), start=start, **mode)
         if (start is not None and sol.status == "numerical-failure"
                 and sol.iterations == 0):
             # the kernel refused the shifted start, which only rounding can
             # cause: solve from the cold start instead
-            sol = solve_margin(program, sign_only=sign_only)
+            sol = solve_margin(program, **mode)
         if sol.status == "numerical-failure":
             raise NumericalError(
                 f"margin solve broke down at rate {problem.rho}"
@@ -396,7 +483,7 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
         solutions.append(sol)
         return problem, sol
 
-    anchor = lo = _anchor(system)
+    anchor = _anchor(system)
     # the identity assignment has margin min(1, hi^2 - norm^2), at least
     # twice the threshold: hi is feasible, and every later probe lies below
     norm = max(np.linalg.norm(a, 2) for a in system.modes.values())
@@ -413,22 +500,22 @@ def jsr_upper_bound(graph, system, tol=1e-4, require_path_complete=True,
             f"margin solve at rate {hi} missed the identity certificate"
         )
 
+    bracket = _Bracket(anchor, hi, bound[1].margin, tol)
     steps = 0
-    while hi - lo > tol:
+    while bracket.hi - bracket.lo > tol:
         steps += 1
         if steps > _BISECT_LIMIT:
             raise NumericalError("bisection failed to narrow the bracket")
-        mid = _log_midpoint(lo, hi, anchor, tol)
+        mid = bracket.next()
         candidate = probe(assemble_lmi(graph, system, mid))
-        if candidate[1].margin > FEASIBILITY_THRESHOLD:
-            hi, bound = mid, candidate
-        else:
-            lo = mid
+        if bracket.update(mid, candidate[1].margin):
+            bound = candidate
+    hi = bracket.hi
 
-    # the probes only decided signs: certify the bound from a full solve,
-    # resumed where the bound's probe stopped
+    # the probes only decided signs: certify the bound from a solve resumed
+    # where the bound's probe stopped, which ends at half the optimum
     problem, bound_probe = bound
-    solution = solved(problem, bound_probe)
+    solution = solved(problem, bound_probe, _certify=True)
     cert = QuadraticCertificate(graph, solution.assignment, hi)
     report = verify_certificate(cert, system)
     if not report.ok:

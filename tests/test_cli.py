@@ -1,3 +1,4 @@
+import argparse
 import json
 import shlex
 import subprocess
@@ -331,6 +332,28 @@ def test_covering_validate_and_graphs(demo_files, tmp_path, capsys):
     assert run(["covering", "validate", partial]) == 1
     assert "b" in capsys.readouterr().out
     assert run(["covering", "to-graph", partial]) == 1
+
+
+def test_covering_to_graph_builds_only_its_own_parsers(monkeypatch, tmp_path,
+                                                       capsys):
+    # the root, the covering group and the to-graph leaf; no other
+    # command's parser is built
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    fam = write_json(tmp_path, "fam.json", {
+        "alphabet": ["a", "b"],
+        "members": [{"name": "[a]", "stem": ["a"]},
+                    {"name": "[b]", "stem": ["b"]}],
+    })
+    assert run(["covering", "to-graph", fam]) == 0
+    assert progs == ["pathlyap", "pathlyap covering",
+                     "pathlyap covering to-graph"]
 
 
 def test_covering_stem_outside_the_alphabet_exits_two(tmp_path, capsys):

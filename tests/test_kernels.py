@@ -341,6 +341,40 @@ def test_resume_from_a_decided_point_reaches_the_optimum():
     assert decided + resumed <= full
 
 
+# ---------------------------------------------------------------------------
+# the certifying stop: the first centred stage with K n mu <= t
+# ---------------------------------------------------------------------------
+
+def test_certifying_exit_stops_at_half_the_optimum():
+    # one_block's central path has t = 1 - 2 mu: at mu = 1 the gap bound
+    # 2 mu exceeds t, at mu = 0.05 it no longer does
+    c0, d, z0 = one_block()
+    _, full, _, _ = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
+    z, iterations, status, mu = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS,
+                                              certify=True)
+    assert (status, mu) == (0, kernels.MU_SHRINK)
+    assert 2 * mu <= z[1]
+    assert z[1] == pytest.approx(1.0 - 2 * mu, abs=1e-7)
+    assert iterations < full
+    # at mu = 0.3 the centred t = 0.4 is more than a third of the optimum
+    # but less than half, and the gap bound 0.6 exceeds it: no stop there
+    _, _, _, mu = barrier_solve(c0, d, [[0, 1]], z0, 0.3, certify=True)
+    assert mu == 0.3 * kernels.MU_SHRINK
+
+
+def test_certifying_exit_needs_a_small_scaled_decrement(monkeypatch):
+    # with a decrement test that no stage end passes, the certifying solve
+    # walks the whole schedule like a full solve
+    c0, d, z0 = one_block()
+    monkeypatch.setattr(kernels, "CERTIFY_DECREMENT", -1.0)
+    full = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS)
+    z, iterations, status, mu = barrier_solve(c0, d, [[0, 1]], z0, *SETTINGS,
+                                              certify=True)
+    assert mu == kernels.MU_MIN
+    assert np.array_equal(z, full[0])
+    assert (iterations, status) == full[1:3]
+
+
 @pytest.mark.parametrize("scale", [1.0, 0.99], ids=["at-rho", "below-rho"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_sign_only_verdict_matches_the_full_solve(name, scale):

@@ -1,7 +1,9 @@
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import margin_corpus
@@ -326,27 +328,34 @@ def test_bound_builds_its_program_once(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["demo-db2", "wide-db2"])
-def test_certifying_solve_ends_at_mu_min(monkeypatch, case):
+def test_certifying_solve_stops_at_half_the_optimum(monkeypatch, case):
     if case == "demo-db2":
         graph, system = de_bruijn(("a", "b"), 2), demo_system()
     else:
         graph, system, _ = wide_db2()
-    full = []
+    certifying = []
     solve = sdp_module.solve_margin
 
-    def recording(problem, *args, sign_only=False, **options):
-        sol = solve(problem, *args, sign_only=sign_only, **options)
-        if not sign_only:
-            full.append(sol)
+    def recording(problem, *args, **options):
+        sol = solve(problem, *args, **options)
+        if options.get("_certify"):
+            certifying.append(sol)
         return sol
 
     monkeypatch.setattr(sdp_module, "solve_margin", recording)
     res = jsr_upper_bound(graph, system)
-    # the certifying solve resumes from the bound's probe and still walks
-    # down to the clamped last stage
-    (sol,) = full
+    # the certifying solve resumes from the bound's probe and stops at the
+    # first centred stage whose gap K n mu is at most its margin
+    (sol,) = certifying
     assert sol.rho == res.rho_upper
-    assert sol.weight == MU_MIN
+    assert sol.status == "optimal"
+    assert sol.weight >= MU_MIN
+    gap = (len(graph.nodes) + len(graph.edges)) * system.dimension
+    assert gap * sol.weight <= sol.margin
+    full = solve(assemble_lmi(graph, system, res.rho_upper))
+    assert full.weight == MU_MIN
+    assert sol.margin >= 0.5 * full.margin
+    assert res.certificate.margin > 0
 
 
 # ---------------------------------------------------------------------------
@@ -402,23 +411,21 @@ def test_jsr_zero_modes_widen_from_floor():
     assert any(t <= FEASIBILITY_THRESHOLD for _, t in res.trace)
 
 
-# from 1e4 on, an edge slack (of order rho^2) passes the verifier only
-# with a smallest eigenvalue above 1e-9 rho^2 > 1, but a node block caps
-# the margin at 1 (the trace of each P is pinned to n): no bound verifies
-LARGE_SCALES = [
-    pytest.param(10.0 ** k, marks=pytest.mark.xfail(
-        strict=True, raises=NumericalError,
-        reason="margin capped below the verifier's relative tolerance"))
-    for k in range(4, 7)
-]
-
-
 @pytest.mark.parametrize("graph", ["one-node", "de-bruijn-1"])
-@pytest.mark.parametrize(
-    "scale", [0.0] + [10.0 ** k for k in range(-12, 4)] + LARGE_SCALES)
-def test_first_probe_is_feasible_at_every_scale(graph, scale):
+@pytest.mark.parametrize("scale", [0.0] + [10.0 ** k for k in range(-12, 7)])
+def test_first_probe_is_feasible_at_every_scale(request, graph, scale):
     # the upper seed is feasible by construction, also for modes so small
     # that no rate near their norm has a margin above the threshold
+    if graph == "one-node" and scale >= 1e4:
+        # from 1e4 on, an edge slack (of order rho^2) passes the verifier
+        # only with a smallest eigenvalue above 1e-9 rho^2 > 1, but a node
+        # block caps the margin at 1 (the trace of each P is pinned to n);
+        # on one node the certifying solve runs to MU_MIN, which leaves the
+        # edge slacks at the margin, and no bound verifies.  On De Bruijn 1
+        # it stops at a larger weight, with the edge slacks well inside
+        request.applymarker(pytest.mark.xfail(
+            strict=True, raises=NumericalError,
+            reason="margin capped below the verifier's relative tolerance"))
     system = demo_system()
     system = SwitchedLinearSystem(
         system.alphabet, system.dimension,
@@ -483,31 +490,28 @@ def test_jsr_propagates_solver_failure(monkeypatch):
 
 @pytest.mark.parametrize("case", ["demo-db1", "wide-db1"])
 def test_sign_only_probes_change_no_bound(monkeypatch, case):
-    import pathlyap.sdp as sdp_module
-
     if case == "demo-db1":
         graph, system = de_bruijn(("a", "b"), 1), demo_system()
     else:
         _, system, _ = wide_db2()
         graph = de_bruijn(("a", "b", "c"), 1)
     fast = jsr_upper_bound(graph, system, tol=1e-4)
+    # at every rate the sign-only probes visited, a full solve gives the
+    # same verdict
+    for rho, margin in fast.trace:
+        full = solve_margin(assemble_lmi(graph, system, rho))
+        assert ((full.margin > FEASIBILITY_THRESHOLD)
+                == (margin > FEASIBILITY_THRESHOLD)), rho
 
     full_solve = sdp_module.solve_margin
 
-    def full_probes(problem, unknown_cap=None, sign_only=False, start=None):
-        return full_solve(problem, unknown_cap=unknown_cap)
+    def full_probes(problem, *args, sign_only=False, **options):
+        return full_solve(problem, *args, **options)
 
     monkeypatch.setattr(sdp_module, "solve_margin", full_probes)
     slow = jsr_upper_bound(graph, system, tol=1e-4)
-    assert [r for r, _ in fast.trace] == [r for r, _ in slow.trace]
-    assert fast.rho_upper == slow.rho_upper
     assert verify_certificate(fast.certificate, system).ok
     assert verify_certificate(slow.certificate, system).ok
-    # the resumed and the cold full solve both end on the central path at
-    # mu_min = 1e-10, within the duality gap K n mu_min of the optimum
-    blocks = len(graph.nodes) + len(graph.edges)
-    gap = blocks * system.dimension * 1e-10
-    assert abs(fast.certificate.margin - slow.certificate.margin) <= gap
 
 
 def cold_probes(monkeypatch):
@@ -515,9 +519,9 @@ def cold_probes(monkeypatch):
     full solve at the bound keeps its start."""
     solve = sdp_module.solve_margin
 
-    def cold(problem, unknown_cap=None, sign_only=False, start=None):
-        return solve(problem, unknown_cap=unknown_cap, sign_only=sign_only,
-                     start=None if sign_only else start)
+    def cold(problem, *args, sign_only=False, start=None, **options):
+        return solve(problem, *args, sign_only=sign_only,
+                     start=None if sign_only else start, **options)
 
     monkeypatch.setattr(sdp_module, "solve_margin", cold)
 
@@ -539,17 +543,66 @@ def random_bound_case(seed):
 
 
 @pytest.mark.parametrize("seed", range(24))
-def test_warm_probes_change_no_bound(monkeypatch, seed):
+def test_warm_probes_change_no_bound(seed):
     graph, system = random_bound_case(seed)
     warm = jsr_upper_bound(graph, system, tol=1e-4)
     assert verify_certificate(warm.certificate, system).ok
-    cold_probes(monkeypatch)
-    cold = jsr_upper_bound(graph, system, tol=1e-4)
-    assert [r for r, _ in warm.trace] == [r for r, _ in cold.trace]
-    assert warm.rho_upper == cold.rho_upper
+    # at every rate a warm probe visited, a cold probe gives the same verdict
+    for rho, margin in warm.trace:
+        cold = solve_margin(assemble_lmi(graph, system, rho), sign_only=True)
+        assert ((cold.margin > FEASIBILITY_THRESHOLD)
+                == (margin > FEASIBILITY_THRESHOLD)), rho
     # the bracket's upper end only moves onto a feasible probe
     feasible = [r for r, t in warm.trace if t > FEASIBILITY_THRESHOLD]
     assert warm.rho_upper == feasible[-1] == min(feasible)
+
+
+def bracket_widths(system, trace):
+    """The bracket's width after each probe of `trace`, replayed from the
+    anchor and the verdicts, and the index of the first infeasible probe
+    (None if every probe was feasible)."""
+    lo, hi = sdp_module._anchor(system), trace[0][0]
+    widths, first = [], None
+    for i, (rho, margin) in enumerate(trace):
+        if margin > FEASIBILITY_THRESHOLD:
+            hi = rho
+        else:
+            lo = rho
+            first = i if first is None else first
+        widths.append(hi - lo)
+    return widths, first
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_probes_after_the_first_failure_halve_the_bracket(seed):
+    # the midpoint safeguard: from the first infeasible probe on, any four
+    # probes in a row at least halve the bracket
+    graph, system = random_bound_case(seed)
+    res = jsr_upper_bound(graph, system, tol=1e-4)
+    widths, first = bracket_widths(system, res.trace)
+    assert widths[-1] <= res.tolerance
+    if first is not None:
+        assert_halves_every_four(widths[first:])
+
+
+def test_margin_placement_takes_fewer_probes(monkeypatch):
+    # over the 24 seeds, chord probes with the Illinois rule take fewer
+    # probes than log-scale bisection does (152 against 163 when written)
+    def probes():
+        return sum(len(jsr_upper_bound(*random_bound_case(seed)).trace)
+                   for seed in range(24))
+
+    placed = probes()
+    monkeypatch.setattr(
+        sdp_module._Bracket, "next",
+        lambda self: sdp_module._log_midpoint(self.lo, self.hi, self.anchor,
+                                              self.tol))
+    assert placed <= 0.95 * probes()
+
+
+def assert_halves_every_four(widths):
+    for before, after in zip(widths, widths[4:]):
+        assert after <= 0.5 * before * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("case", ["demo-db1", "wide-db1"])
@@ -570,31 +623,30 @@ def test_warm_probes_take_fewer_newton_steps(monkeypatch, case):
 
 def test_refused_start_falls_back_to_the_cold_start(monkeypatch):
     graph, system = de_bruijn(("a", "b"), 1), demo_system()
-    warm = jsr_upper_bound(graph, system, tol=1e-4)
     solve = sdp_module.solve_margin
-    refused = []
+    starts = []
 
-    def corrupting(problem, unknown_cap=None, sign_only=False, start=None):
+    def corrupting(problem, *args, start=None, **options):
+        starts.append(start is not None)
         if start is None:
-            return solve(problem, unknown_cap=unknown_cap,
-                         sign_only=sign_only)
+            return solve(problem, *args, **options)
         # a margin far above every block's eigenvalues: no block is PD
         point = start.point.copy()
         point[-1] += 1e3
-        sol = solve(problem, unknown_cap=unknown_cap, sign_only=sign_only,
-                    start=MarginSolution(
-                        start.margin, start.assignment, start.iterations,
-                        start.status, point, start.weight, start.rho))
-        refused.append((sol.status, sol.iterations))
+        sol = solve(problem, *args, start=MarginSolution(
+            start.margin, start.assignment, start.iterations, start.status,
+            point, start.weight, start.rho), **options)
+        assert (sol.status, sol.iterations) == ("numerical-failure", 0)
         return sol
 
     monkeypatch.setattr(sdp_module, "solve_margin", corrupting)
     result = jsr_upper_bound(graph, system, tol=1e-4)
-    # every probe after the first and the full solve were refused
-    assert refused == [("numerical-failure", 0)] * len(warm.trace)
-    assert [r for r, _ in result.trace] == [r for r, _ in warm.trace]
-    assert result.rho_upper == warm.rho_upper
+    # the first probe starts cold; every later probe and the certifying
+    # solve are refused their start once and then solved from the cold start
+    assert starts == [False] + [True, False] * len(result.trace)
     assert verify_certificate(result.certificate, system).ok
+    widths, _ = bracket_widths(system, result.trace)
+    assert widths[-1] <= result.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +679,44 @@ def test_log_midpoint_splits_the_bracket(anchor, below, width, share, where):
             hi = mid
         else:
             lo = mid
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    anchor=st.floats(0.0, 10.0),
+    width=st.floats(1e-3, 10.0),
+    share=st.floats(1e-6, 0.2),
+    where=st.floats(0.0, 1.0),
+    power=st.floats(0.02, 8.0),
+    skew=st.floats(1e-6, 1e6),
+)
+def test_bracket_halves_after_the_first_failure(anchor, width, share, where,
+                                                power, skew):
+    # margins of any curvature and asymmetry around a threshold rate: the
+    # chord may stall beside one end, and the midpoint safeguard bounds it
+    hi = anchor + width
+    tol = share * width
+    threshold = anchor + where * width
+
+    def margin(rho):
+        x = rho * rho - threshold * threshold
+        level = abs(x) ** power
+        return FEASIBILITY_THRESHOLD + (skew * level if x > 0 else -level)
+
+    assume(margin(hi) > FEASIBILITY_THRESHOLD)
+    bracket = sdp_module._Bracket(anchor, hi, margin(hi), tol)
+    widths, first = [], None
+    while bracket.hi - bracket.lo > tol:
+        assert len(widths) < sdp_module._BISECT_LIMIT
+        rate = bracket.next()
+        assert bracket.lo < rate < bracket.hi
+        if not bracket.update(rate, margin(rate)) and first is None:
+            first = len(widths)
+        widths.append(bracket.hi - bracket.lo)
+    if first is not None:
+        assert_halves_every_four(widths[first:])
+        more = len(widths) - first - 1
+        assert more <= 3 * max(0, math.ceil(math.log2(widths[first] / tol)))
 
 
 @pytest.mark.parametrize("symbols, length", [(1, 1), (2, 8), (3, 5)])
@@ -669,6 +759,13 @@ def test_anchored_bound_on_demo_de_bruijn_2():
     anchor = sdp_module._anchor(system)
     infeasible = [r for r, t in res.trace if t <= FEASIBILITY_THRESHOLD]
     assert res.rho_upper - max(infeasible + [anchor]) <= tol
+    # no probe failed, so every probe split the bracket in log scale above
+    # the anchor, as plain log-scale bisection does
+    assert not infeasible
+    hi = res.trace[0][0]
+    for rho, _ in res.trace[1:]:
+        assert rho == sdp_module._log_midpoint(anchor, hi, anchor, tol)
+        hi = rho
 
 
 def test_jsr_checks_the_unknown_cap_first():

@@ -186,6 +186,37 @@ def test_successor_tables_step_every_mask():
                 assert expand(mask) == union, (g, mask)
 
 
+@pytest.mark.parametrize("search", ["unreadable", "observer", "covering",
+                                    "cli"])
+def test_successor_table_refuses_its_byte_budget(monkeypatch, tmp_path,
+                                                 capsys, search):
+    # two-symbol De Bruijn 3: 8 nodes, a table of about 2 * 8^2 / 2 = 64
+    # bytes; the budget is patched small instead of building a large table
+    g = de_bruijn(AB, 3)
+    family = observer_to_covering(observer_graph(g))
+    monkeypatch.setattr(graphs, "_TABLE_BYTES", 64)
+    assert find_unreadable_word(g) is None
+    monkeypatch.setattr(graphs, "_TABLE_BYTES", 63)
+    message = "successor table of 8 nodes needs about 64 bytes"
+    if search == "cli":
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(g.to_json()))
+        assert cli.run(["graph", "check", str(path)]) == 3
+        assert message in capsys.readouterr().err
+        return
+    if search == "covering":
+        # the members' graphs are not g: any table exceeds a zero budget
+        monkeypatch.setattr(graphs, "_TABLE_BYTES", 0)
+        message = "successor table of [0-9]+ nodes needs about [0-9]+ bytes"
+    with pytest.raises(ResourceLimitError, match=message):
+        if search == "unreadable":
+            find_unreadable_word(g)
+        elif search == "observer":
+            observer_graph(g)
+        else:
+            validate_covering(family)
+
+
 def test_successor_tables_step_large_masks():
     """On graphs of 100 to 300 nodes, masks with a few set bits (most
     chunks skipped), half their bits set, and every bit set step to the
