@@ -10,7 +10,7 @@ outputs are deterministic.
 from __future__ import annotations
 
 import itertools
-from operator import not_
+from operator import itemgetter, not_
 
 from .errors import (
     Record,
@@ -98,9 +98,21 @@ def graph_from_json(data: dict) -> LabeledGraph:
 
 
 def is_complete(g: LabeledGraph) -> bool:
-    """Every node has at least one outgoing edge per symbol."""
-    present = {(src, sym) for src, _, sym in g.edges}
-    return all((v, s) in present for v in g.nodes for s in g.alphabet)
+    """Every node has at least one outgoing edge per symbol.
+
+    One scan of the canonical edge order, in which each node's out-edges
+    are consecutive and the nodes come in declaration order; it stops at
+    the first node that has no out-edge or misses a symbol.  A complete
+    graph reads every word from any node, so it is path-complete, and
+    `find_unreadable_word` answers it without a subset search.
+    """
+    width = len(g.alphabet)
+    nodes = iter(g.nodes)
+    for src, edges in itertools.groupby(g.edges, key=itemgetter(0)):
+        # a node skipped by the groups has no out-edge
+        if src != next(nodes) or len({sym for _, _, sym in edges}) < width:
+            return False
+    return next(nodes, None) is None
 
 
 def is_deterministic(g: LabeledGraph) -> bool:
@@ -320,18 +332,23 @@ def _word_to(parent, state):
 def find_unreadable_word(g: LabeledGraph, cap=None):
     """Shortest word with no reading path in g, or None if all words read.
 
-    Runs `_explore_subsets` on one node mask, g's full node set, stepped by
-    g's successor table `_mask_expander` with no memo (each mask is
-    expanded once), stopping at the empty mask: the symbols consumed to
-    reach it form an unreadable word.  The word is returned most recent
-    symbol first (reverse of the order the symbols were consumed in),
-    matching the memory-word convention used by the automata layer; reverse
-    it for trajectory order.
+    A complete graph (`is_complete`) reads every word, so it gets None
+    without a search.  Any other graph runs `_explore_subsets` on one node
+    mask, g's full node set, stepped by g's successor table
+    `_mask_expander` with no memo (each mask is expanded once), stopping
+    at the empty mask: the symbols consumed to reach it form an unreadable
+    word.  The word is returned most recent symbol first (reverse of the
+    order the symbols were consumed in), matching the memory-word
+    convention used by the automata layer; reverse it for trajectory order.
 
     Raises ResourceLimitError when more than `cap` distinct subsets appear
-    (default 2^20, env-overridable).
+    (default 2^20, env-overridable).  The cap bounds only the search: it
+    is read and validated for every graph, but a complete graph never
+    reaches it, nor the successor table's byte budget.
     """
     limit = state_cap(cap)
+    if is_complete(g):
+        return None
     parent, hit = _explore_subsets(
         g.alphabet, _mask_expander(g), (1 << len(g.nodes)) - 1, limit, not_
     )
@@ -339,5 +356,9 @@ def find_unreadable_word(g: LabeledGraph, cap=None):
 
 
 def is_path_complete(g: LabeledGraph, cap=None) -> bool:
-    """True iff every finite word over the alphabet has a reading path."""
+    """True iff every finite word over the alphabet has a reading path.
+
+    Decided by `find_unreadable_word`: a complete graph is True without a
+    subset search, and `cap` bounds only the search that other graphs run.
+    """
     return find_unreadable_word(g, cap=cap) is None

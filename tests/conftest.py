@@ -55,6 +55,14 @@ def random_path_complete_graph(rng, n_nodes, n_syms, thin=True):
     return LabeledGraph(g.alphabet, g.nodes, edges)
 
 
+def with_sink(g, sink="sink"):
+    """g plus one node with an in-edge and no out-edges.  It reads what g
+    reads, so it is path-complete when g is, but it is never complete: its
+    unreadable-word search runs instead of the complete graph's shortcut."""
+    edge = (g.nodes[0], sink, g.alphabet[0])
+    return LabeledGraph(g.alphabet, g.nodes + (sink,), g.edges + (edge,))
+
+
 def mixed_graph_sample(rng, n_nodes, n_syms):
     """Mix of sparse, medium, and complete-ish graphs."""
     kind = rng.integers(3)

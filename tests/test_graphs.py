@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mixed_graph_sample, random_complete_graph
+from conftest import mixed_graph_sample, random_complete_graph, with_sink
 from oracles import oracle_is_path_complete, word_is_readable, words_up_to
 from pathlyap.errors import NotPathCompleteError, ResourceLimitError
 from pathlyap.graphs import (
@@ -125,6 +125,40 @@ def test_is_complete_examples():
     assert is_complete(de_bruijn(("a", "b"), 1))
     assert is_complete(mixed_horizon())
     assert not is_complete(lonely_loop())
+    # one node
+    assert is_complete(LabeledGraph(("a", "b"), ("n",),
+                                    [("n", "n", "a"), ("n", "n", "b")]))
+    # a node with no out-edges first, in the middle and last
+    g = de_bruijn(("a", "b"), 2)
+    for k in range(len(g.nodes)):
+        edges = [e for e in g.edges if e[0] != g.nodes[k]]
+        assert not is_complete(LabeledGraph(g.alphabet, g.nodes, edges)), k
+    assert not is_complete(with_sink(g))
+    # two edges of one symbol and none of another
+    assert not is_complete(LabeledGraph(
+        ("a", "b"), ("n", "m"),
+        [("n", "n", "a"), ("n", "m", "a"), ("m", "n", "a"), ("m", "m", "b")],
+    ))
+    # a symbol with no edges at all, and no edges at all
+    assert not is_complete(LabeledGraph(("a", "b", "c"), g.nodes, g.edges))
+    assert not is_complete(LabeledGraph(("a",), ("n",), []))
+
+
+def test_is_complete_matches_its_definition():
+    """The one scan agrees with "every (node, symbol) pair has an
+    out-edge" on 500 sampled graphs, and on each with one edge dropped."""
+    rng = np.random.default_rng(14)
+    seen = {True: 0, False: 0}
+    for _ in range(500):
+        g = mixed_graph_sample(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+        k = rng.integers(max(len(g.edges), 1))
+        dropped = g.edges[:k] + g.edges[k + 1:]
+        for h in (g, LabeledGraph(g.alphabet, g.nodes, dropped)):
+            present = {(p, s) for p, _, s in h.edges}
+            want = all((v, s) in present for v in h.nodes for s in h.alphabet)
+            assert is_complete(h) == want, h
+            seen[want] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_is_deterministic_examples():
@@ -250,16 +284,39 @@ def test_invalid_state_cap_is_a_value_error(cap):
 
 
 def test_state_cap_enforced():
+    # complete graphs are decided without a search, so the cap is exercised
+    # on De Bruijn graphs plus a sink: path-complete but not complete
     with pytest.raises(ResourceLimitError):
-        is_path_complete(de_bruijn(("a", "b"), 1), cap=1)
-    # De Bruijn order 2 explores exactly 7 subsets: the full set, two pairs
-    # and four singletons
-    g = de_bruijn(("a", "b"), 2)
-    assert find_unreadable_word(g, cap=7) is None
-    with pytest.raises(ResourceLimitError, match="exceeded 6 subsets"):
-        find_unreadable_word(g, cap=6)
+        is_path_complete(with_sink(de_bruijn(("a", "b"), 1)), cap=1)
+    # De Bruijn order 2 plus a sink explores exactly 8 subsets: the full
+    # set, {aa, ab, sink}, {ba, bb}, {aa, sink} and four singletons
+    g = with_sink(de_bruijn(("a", "b"), 2))
+    assert find_unreadable_word(g, cap=8) is None
+    with pytest.raises(ResourceLimitError, match="exceeded 7 subsets"):
+        find_unreadable_word(g, cap=7)
     # the empty subset ends the search before it is counted
     assert find_unreadable_word(lonely_loop(), cap=1) == ("b",)
+
+
+def test_complete_graphs_decide_without_a_search(monkeypatch):
+    # De Bruijn 12 has 4096 nodes; a search would discover far more than
+    # one subset
+    assert find_unreadable_word(de_bruijn(("a", "b"), 12), cap=1) is None
+
+    def refused(g):
+        raise AssertionError("a complete graph built a successor table")
+
+    monkeypatch.setattr("pathlyap.graphs._mask_expander", refused)
+    rng = np.random.default_rng(15)
+    samples = [de_bruijn(("a", "b", "c"), 3), mixed_horizon()] + [
+        random_complete_graph(rng, int(rng.integers(1, 9)), int(rng.integers(1, 4)))
+        for _ in range(30)
+    ]
+    for g in samples:
+        assert find_unreadable_word(g) is None
+        assert is_path_complete(g, cap=1)
+    with pytest.raises(AssertionError, match="successor table"):
+        find_unreadable_word(with_sink(samples[0]))
 
 
 # ---------------------------------------------------------------------------

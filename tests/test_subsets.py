@@ -24,6 +24,7 @@ from conftest import (
     random_graph,
     random_path_complete_graph,
     union_automaton,
+    with_sink,
 )
 from oracles import (
     enumerate_unreadable,
@@ -58,8 +59,9 @@ from pathlyap.observer import observer_graph
 
 AB = ("a", "b")
 
-# a complete graph whose subset exploration from the full set discovers 11
-# subsets, and a thinned copy whose shortest unreadable word has length 4
+# a complete graph whose observer discovers 11 subsets, as does the
+# unreadable-word search on it plus a sink, and a thinned copy whose
+# shortest unreadable word has length 4
 PC_EDGES = [
     ("p", "r", "a"), ("p", "s", "b"), ("p", "u", "a"), ("q", "q", "b"),
     ("q", "u", "a"), ("r", "q", "b"), ("r", "r", "a"), ("r", "s", "b"),
@@ -191,26 +193,33 @@ def test_successor_tables_step_every_mask():
 def test_successor_table_refuses_its_byte_budget(monkeypatch, tmp_path,
                                                  capsys, search):
     # two-symbol De Bruijn 3: 8 nodes, a table of about 2 * 8^2 / 2 = 64
-    # bytes; the budget is patched small instead of building a large table
+    # bytes.  A complete graph's unreadable-word search builds no table, so
+    # that search runs on De Bruijn 3 plus a sink (path-complete, not
+    # complete): 9 nodes, about 2 * 9^2 / 2 = 81 bytes.  The budget is
+    # patched small instead of building a large table
     g = de_bruijn(AB, 3)
+    sunk = with_sink(g)
     family = observer_to_covering(observer_graph(g))
-    monkeypatch.setattr(graphs, "_TABLE_BYTES", 64)
-    assert find_unreadable_word(g) is None
-    monkeypatch.setattr(graphs, "_TABLE_BYTES", 63)
-    message = "successor table of 8 nodes needs about 64 bytes"
+    monkeypatch.setattr(graphs, "_TABLE_BYTES", 81)
+    assert find_unreadable_word(sunk) is None
+    monkeypatch.setattr(graphs, "_TABLE_BYTES", 80)
+    message = "successor table of 9 nodes needs about 81 bytes"
     if search == "cli":
         path = tmp_path / "g.json"
-        path.write_text(json.dumps(g.to_json()))
+        path.write_text(json.dumps(sunk.to_json()))
         assert cli.run(["graph", "check", str(path)]) == 3
         assert message in capsys.readouterr().err
         return
+    if search == "observer":
+        monkeypatch.setattr(graphs, "_TABLE_BYTES", 63)
+        message = "successor table of 8 nodes needs about 64 bytes"
     if search == "covering":
         # the members' graphs are not g: any table exceeds a zero budget
         monkeypatch.setattr(graphs, "_TABLE_BYTES", 0)
         message = "successor table of [0-9]+ nodes needs about [0-9]+ bytes"
     with pytest.raises(ResourceLimitError, match=message):
         if search == "unreadable":
-            find_unreadable_word(g)
+            find_unreadable_word(sunk)
         elif search == "observer":
             observer_graph(g)
         else:
@@ -440,7 +449,9 @@ def test_edge_table_matches_pairwise_inclusion():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("run, n", [
-    (lambda cap: find_unreadable_word(pc_graph(), cap=cap), 11),
+    # the search runs to completion on pc_graph() plus a sink: a complete
+    # graph is decided without one
+    (lambda cap: find_unreadable_word(with_sink(pc_graph()), cap=cap), 11),
     (lambda cap: find_unreadable_word(thin_graph(), cap=cap), 9),
     (lambda cap: observer_graph(pc_graph(), cap=cap), 11),
     (lambda cap: validate_covering(mixed_family(), cap=cap), 23),
